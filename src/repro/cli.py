@@ -8,8 +8,8 @@ Usage (after ``pip install -e .``)::
     merlin-repro ablation {candidates,orders,alpha,bubbling,convergence,curves}
     merlin-repro serve --port N [--workers K] [--cache-dir DIR]
                        [--budget-ops N] [--deadline S] [--pool-retries N]
-                       [--async --shards N --queue-limit N]
-    merlin-repro loadgen [--url URL | --cross-check | (self-serve)]
+                       [--shards N] [--queue-limit N]
+    merlin-repro loadgen [--url URL | (self-serve)]
                          [--requests N] [--concurrency C] [--record FILE]
                          [--replay FILE] [--out BENCH_serve.json]
     merlin-repro closure --circuit b9 [--order criticality] [--batch N]
@@ -89,24 +89,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_ab.add_argument("--seed", type=int, default=1)
 
     p_srv = sub.add_parser(
-        "serve", help="run the HTTP optimization service (v1 API: "
-                      "POST /v1/optimize, POST /v1/closure, GET /v1/stats, "
-                      "GET /v1/healthz)")
+        "serve", help="run the sharded asyncio HTTP optimization service "
+                      "(v1 API: POST /v1/optimize, POST /v1/closure, "
+                      "GET /v1/stats, GET /v1/healthz)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8731)
-    p_srv.add_argument("--async", dest="async_mode", action="store_true",
-                       help="asyncio front end with consistent-hash "
-                            "sharding and bounded admission instead of "
-                            "the sync threading server")
+    p_srv.add_argument("--async", action="store_true",
+                       help="accepted for compatibility; the sharded "
+                            "asyncio front end is the only one")
     p_srv.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="worker-pool shards behind --async "
-                            "(default 2)")
+                       help="worker-pool shards (default 2)")
     p_srv.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                       help="max in-flight requests before --async "
-                            "answers 429 + Retry-After (default 64)")
+                       help="max in-flight requests before answering "
+                            "429 + Retry-After (default 64)")
     p_srv.add_argument("--workers", type=int, default=None,
-                       help="warm-pool size (default: the config's "
-                            "workers; 0 = one per CPU; 1 = serial)")
+                       help="warm-pool size per shard (default: the "
+                            "config's workers; 0 = one per CPU; 1 = "
+                            "serial)")
     p_srv.add_argument("--backend", choices=["python", "numpy"],
                        default=None,
                        help="curve-kernel backend override")
@@ -134,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "default)")
     p_srv.add_argument("--brownout-after", type=int, default=None,
                        metavar="N",
-                       help="(--async) after N consecutive saturated "
+                       help="after N consecutive saturated "
                             "admissions, downgrade optimize jobs to the "
                             "fast degraded preset instead of answering "
                             "429 (default: off)")
@@ -143,21 +142,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="max seconds to wait for in-flight requests "
                             "when SIGTERM starts a graceful drain "
                             "(default 30)")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log every HTTP request to stderr")
 
     p_lg = sub.add_parser(
         "loadgen", help="seeded load generation / replay against a "
                         "serving front end (latency percentiles, "
-                        "BENCH_serve.json, bit-identity gates)")
+                        "BENCH_serve.json, equivalence-class gate)")
     p_lg.add_argument("--url", default=None, metavar="URL",
                       help="target an already-running front end; without "
-                           "it an async sharded server is spun up "
-                           "in-process for the run")
-    p_lg.add_argument("--cross-check", action="store_true",
-                      help="replay through BOTH the sync and the async "
-                           "path in-process and fail on any tree-"
-                           "signature divergence (ignores --url)")
+                           "it a sharded server is spun up in-process "
+                           "for the run")
     p_lg.add_argument("--requests", type=int, default=64)
     p_lg.add_argument("--nets", type=int, default=16, metavar="N",
                       help="distinct underlying nets (default 16)")
@@ -187,8 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="skip the per-replay equivalence-class "
                            "signature gate")
     p_lg.add_argument("--shards", type=int, default=2,
-                      help="shards of the in-process async server "
-                           "(self-serve and --cross-check modes)")
+                      help="shards of the in-process server "
+                           "(self-serve mode)")
     p_lg.add_argument("--queue-limit", type=int, default=64)
     p_lg.add_argument("--workers", type=int, default=1,
                       help="warm-pool size per service (default 1)")
@@ -433,7 +426,8 @@ def _resolve_preset_config(preset: str, backend):
 
 
 def _run_serve(args) -> int:
-    from repro.service import OptimizationService, ResultCache, serve
+    from repro.serve import serve_async
+    from repro.service import OptimizationService
 
     config = _resolve_preset_config(args.preset, args.backend)
     workers = _resolve_cli_workers(args.workers, config)
@@ -450,22 +444,14 @@ def _run_serve(args) -> int:
             pool_retries=args.pool_retries,
         )
 
-    if args.async_mode:
-        from repro.serve import serve_async
-
-        serve_async(args.host, args.port,
-                    shards=args.shards,
-                    queue_limit=args.queue_limit,
-                    cache_capacity=args.cache_capacity,
-                    disk_dir=args.cache_dir,
-                    service_factory=service_factory,
-                    brownout_after=args.brownout_after,
-                    drain_timeout_s=args.drain_timeout)
-        return 0
-    service = service_factory(ResultCache(capacity=args.cache_capacity,
-                                          disk_dir=args.cache_dir))
-    serve(args.host, args.port, service=service, verbose=args.verbose,
-          drain_timeout_s=args.drain_timeout)
+    serve_async(args.host, args.port,
+                shards=args.shards,
+                queue_limit=args.queue_limit,
+                cache_capacity=args.cache_capacity,
+                disk_dir=args.cache_dir,
+                service_factory=service_factory,
+                brownout_after=args.brownout_after,
+                drain_timeout_s=args.drain_timeout)
     return 0
 
 
@@ -476,7 +462,6 @@ def _run_loadgen(args) -> int:
         generate_workload,
         load_workload,
         render_trend,
-        run_cross_check,
         run_workload,
         save_workload,
         write_bench_serve,
@@ -511,23 +496,10 @@ def _run_loadgen(args) -> int:
     config = _resolve_preset_config(args.preset, args.backend)
     service_kwargs = {"config": config, "workers": args.workers,
                       "tech": default_technology()}
-    failures: List[str] = []
     mode = "replay"
-    if args.cross_check:
-        mode = "cross-check"
-        verdict = run_cross_check(workload, shards=args.shards,
-                                  concurrency=args.concurrency,
-                                  queue_limit=args.queue_limit,
-                                  **service_kwargs)
-        report = verdict["async"]
-        failures = list(verdict["failures"])
-        state = "IDENTICAL" if verdict["identical"] else "DIVERGED"
-        print(f"cross-check sync vs async ({args.shards} shards): {state}")
-    elif args.url is not None:
+    if args.url is not None:
         report = run_workload(args.url, workload,
                               concurrency=args.concurrency)
-        if not args.no_check:
-            failures = check_equivalence(workload, report)
     else:
         mode = "self-serve"
         from repro.serve.embedded import EmbeddedAsyncServer
@@ -537,8 +509,7 @@ def _run_loadgen(args) -> int:
                                  **service_kwargs) as server:
             report = run_workload(server.base_url, workload,
                                   concurrency=args.concurrency)
-        if not args.no_check:
-            failures = check_equivalence(workload, report)
+    failures = [] if args.no_check else check_equivalence(workload, report)
     print(render_trend(report))
     if args.out is not None:
         write_bench_serve(report, args.out, tag=args.tag,

@@ -2,8 +2,8 @@
 
 :class:`MerlinClient` is the one sanctioned way for in-repo code (the
 load harness, the CLI, service tests, CI smoke jobs) to talk to a
-running front end — sync or async, same protocol.  Raw ``urllib`` call
-sites drift out of sync with the envelope; the client centralizes:
+running front end.  Raw ``urllib`` call sites drift out of sync with
+the envelope; the client centralizes:
 
 * envelope decoding into :class:`ClientResponse`;
 * error mapping back onto the :mod:`repro.resilience.errors` taxonomy
@@ -11,16 +11,12 @@ sites drift out of sync with the envelope; the client centralizes:
   subclasses, a 429 raises ``AdmissionRejectedError``, and so on —
   reconstructed from the wire record, so callers catch typed errors);
 * bounded retries with seeded, jittered exponential backoff on 429/503
-  and transport failures, honoring ``Retry-After``;
-* optional hedged requests (:class:`HedgePolicy`) — a second, identical
-  attempt after the observed p95 latency for idempotent endpoints,
-  first answer wins, extra load capped by a hedge budget.
+  and transport failures, honoring ``Retry-After``.
 """
 
 from repro.client.http import (
     ClientResponse,
     ClientTransportError,
-    HedgePolicy,
     MerlinClient,
     RetryPolicy,
 )
@@ -28,7 +24,6 @@ from repro.client.http import (
 __all__ = [
     "ClientResponse",
     "ClientTransportError",
-    "HedgePolicy",
     "MerlinClient",
     "RetryPolicy",
 ]

@@ -13,30 +13,17 @@ Backoff between attempts is exponential with full jitter, drawn from a
 load runs sleep the same schedule).  A server-provided ``Retry-After``
 floors the computed delay — the server knows its queue better than the
 client's guess.
-
-Hedging (off by default; pass a :class:`HedgePolicy`): for idempotent
-requests — ``GET``\\ s and ``POST /v1/optimize``, whose answer is a
-deterministic, cache-backed function of the body — the client fires a
-*second* identical attempt when the first has been in flight longer
-than the observed p95 latency (seeded initial guess until enough
-samples accumulate), and takes whichever answer lands first.  A hedge
-budget caps extra load at a fraction of eligible traffic, so tail
-trimming cannot double the fleet's work.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import random
-import threading
 import time
 import urllib.error
 import urllib.request
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple, \
-    Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.net import Net, net_to_dict
 from repro.resilience.errors import (
@@ -80,42 +67,9 @@ class RetryPolicy:
         return delay
 
 
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and how aggressively to hedge idempotent requests.
-
-    The hedge fires after the rolling ``percentile`` latency of past
-    successes (``delay_s`` until ``min_samples`` have been observed).
-    ``budget_fraction`` bounds issued hedges as a fraction of
-    hedge-eligible requests — the classic tail-at-scale guard against a
-    slow server turning every request into two.
-    """
-
-    #: Hedge delay before enough latency samples exist (seconds).
-    delay_s: float = 0.05
-    #: Latency percentile that arms the hedge once samples accumulate.
-    percentile: float = 0.95
-    #: Samples required before the percentile replaces ``delay_s``.
-    min_samples: int = 8
-    #: Rolling latency-sample window.
-    window: int = 64
-    #: Max fraction of eligible requests that may grow a hedge.
-    budget_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.delay_s <= 0.0:
-            raise ValueError("delay_s must be positive")
-        if not 0.0 < self.percentile < 1.0:
-            raise ValueError("percentile must be in (0, 1)")
-        if self.min_samples < 1 or self.window < self.min_samples:
-            raise ValueError("need 1 <= min_samples <= window")
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ValueError("budget_fraction must be in (0, 1]")
-
-
 @dataclass
 class ClientResponse:
-    """One decoded v1 response (or legacy body, for shim testing)."""
+    """One decoded v1 response."""
 
     status: int
     body: Dict[str, Any]
@@ -140,14 +94,10 @@ class ClientResponse:
         return 200 <= self.status < 300 and self.error is None
 
     def error_record(self) -> Optional[ErrorRecord]:
-        """The structured failure, rebuilt from the envelope (or from a
-        legacy ``error_detail`` body)."""
+        """The structured failure, rebuilt from the envelope."""
         error = self.body.get("error")
         if isinstance(error, dict) and isinstance(error.get("detail"), dict):
             return ErrorRecord.from_dict(error["detail"])
-        detail = self.body.get("error_detail")
-        if isinstance(detail, dict):
-            return ErrorRecord.from_dict(detail)
         return None
 
     def raise_for_error(self) -> None:
@@ -172,19 +122,11 @@ class MerlinClient:
 
     def __init__(self, base_url: str,
                  timeout_s: float = 60.0,
-                 retry: Optional[RetryPolicy] = None,
-                 hedge: Optional[HedgePolicy] = None) -> None:
+                 retry: Optional[RetryPolicy] = None) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
-        self.hedge = hedge
         self._rng = random.Random(self.retry.seed)
-        self._hedge_lock = threading.Lock()
-        self._latencies: Deque[float] = deque(
-            maxlen=hedge.window if hedge is not None else 64)
-        self._hedge_eligible = 0
-        self._hedge_issued = 0
-        self._hedge_wins = 0
 
     # -- endpoint methods ----------------------------------------------
 
@@ -247,7 +189,7 @@ class MerlinClient:
         last_exc: Optional[Exception] = None
         for attempt in range(1, attempts + 1):
             try:
-                response = self._attempt(method, path, payload)
+                response = self._request_once(method, path, payload)
             except ClientTransportError as exc:
                 last, last_exc = None, exc
                 if attempt < attempts:
@@ -267,99 +209,6 @@ class MerlinClient:
         raise ClientTransportError(
             f"{method} {self.base_url}{path} failed after {attempts} "
             f"attempts: {last_exc}", stage="client")
-
-    # -- hedging --------------------------------------------------------
-
-    def hedge_delay_s(self) -> float:
-        """The current hedge trigger: the policy's rolling-percentile
-        latency once enough samples exist, its fixed guess before."""
-        assert self.hedge is not None
-        with self._hedge_lock:
-            samples = sorted(self._latencies)
-        if len(samples) < self.hedge.min_samples:
-            return self.hedge.delay_s
-        rank = int(self.hedge.percentile * (len(samples) - 1))
-        return samples[rank]
-
-    def hedge_stats(self) -> Dict[str, Any]:
-        """Hedge accounting for the load harness and tests."""
-        with self._hedge_lock:
-            return {
-                "enabled": self.hedge is not None,
-                "eligible": self._hedge_eligible,
-                "issued": self._hedge_issued,
-                "wins": self._hedge_wins,
-                "latency_samples": len(self._latencies),
-            }
-
-    def _hedgeable(self, method: str, path: str) -> bool:
-        """Only idempotent work is hedged: GETs, and ``/v1/optimize``
-        whose answer is a deterministic function of the body (the
-        engine is seeded and cache-backed, so a duplicate is free on
-        the server and identical on the wire)."""
-        if self.hedge is None:
-            return False
-        return method == "GET" or path == "/v1/optimize"
-
-    def _hedge_budget_ok(self) -> bool:
-        """Issued hedges must stay under ``budget_fraction`` of the
-        eligible traffic (with a one-hedge floor so the budget is not
-        permanently zero at startup).  Caller holds the lock."""
-        assert self.hedge is not None
-        cap = max(1.0, self.hedge.budget_fraction * self._hedge_eligible)
-        return self._hedge_issued < cap
-
-    def _attempt(self, method: str, path: str,
-                 payload: Optional[Mapping[str, Any]] = None
-                 ) -> ClientResponse:
-        """One attempt of the retry loop: plain, or raced with a hedge."""
-        if not self._hedgeable(method, path):
-            return self._request_once(method, path, payload)
-        with self._hedge_lock:
-            self._hedge_eligible += 1
-            may_hedge = self._hedge_budget_ok()
-
-        started = time.monotonic()
-        outcomes: "queue.Queue[Tuple[str, Optional[ClientResponse], " \
-            "Optional[Exception]]]" = queue.Queue()
-
-        def run(which: str) -> None:
-            try:
-                outcomes.put((which,
-                              self._request_once(method, path, payload),
-                              None))
-            except Exception as exc:  # first-wins needs both outcomes
-                outcomes.put((which, None, exc))
-
-        threading.Thread(target=run, args=("primary",),
-                         name="merlin-client-primary", daemon=True).start()
-        racers = 1
-        if may_hedge:
-            try:
-                which, response, exc = outcomes.get(
-                    timeout=self.hedge_delay_s())
-            except queue.Empty:
-                with self._hedge_lock:
-                    self._hedge_issued += 1
-                threading.Thread(target=run, args=("hedge",),
-                                 name="merlin-client-hedge",
-                                 daemon=True).start()
-                racers = 2
-                which, response, exc = outcomes.get()
-        else:
-            which, response, exc = outcomes.get()
-        if response is None and racers == 2:
-            # First finisher failed; the straggler may still answer.
-            which, response, second_exc = outcomes.get()
-            exc = exc if response is None else None
-        if response is None:
-            assert exc is not None
-            raise exc
-        with self._hedge_lock:
-            self._latencies.append(time.monotonic() - started)
-            if which == "hedge":
-                self._hedge_wins += 1
-        return response
 
     def _request_once(self, method: str, path: str,
                       payload: Optional[Mapping[str, Any]] = None

@@ -308,8 +308,6 @@ class _Engine:
             # iteration; no budget is charged, like range-memo hits.
             self.gamma[_key(parent)] = cached
             self.stats["gamma_memo_hits"] += 1
-            if rec.enabled:
-                rec.incr(metric.BUBBLE_GAMMA_MEMO_HITS)
             return
         if self.budget is not None:
             self.budget.charge(1, what="bubble.cell")

@@ -76,9 +76,6 @@ SERVICE_JOBS = "service.jobs"
 SERVICE_JOB_FAILURES = "service.job.failures"
 #: Jobs abandoned after exceeding the per-job timeout.
 SERVICE_JOB_TIMEOUTS = "service.job.timeouts"
-#: Requests arriving on a deprecated pre-v1 HTTP path (`/optimize`,
-#: `/closure`, `/stats`, `/healthz` without the `/v1` prefix).
-SERVICE_HTTP_LEGACY_PATH = "service.http.legacy_path"
 
 #: Requests accepted by the async front end's admission control.
 SERVE_ADMITTED = "serve.admitted"

@@ -1,6 +1,6 @@
 """Seeded load generation and replay for the serving tier.
 
-Three pieces, composable from the CLI (``merlin-repro loadgen``), from
+Two pieces, composable from the CLI (``merlin-repro loadgen``), from
 tests, and from CI:
 
 * :mod:`repro.loadgen.workload` — :class:`WorkloadSpec` /
@@ -13,12 +13,9 @@ tests, and from CI:
   :class:`LoadReport` (p50/p95/p99, histogram, per-second trend,
   throughput), :func:`write_bench_serve` freezes it into
   ``BENCH_serve.json``, :func:`check_equivalence` asserts one signature
-  per cache-equivalence class;
-* :mod:`repro.loadgen.crosscheck` — :func:`run_cross_check`, the
-  sync-vs-async bit-identity gate.
+  per cache-equivalence class.
 """
 
-from repro.loadgen.crosscheck import run_cross_check
 from repro.loadgen.harness import (
     LoadReport,
     RequestOutcome,
@@ -52,7 +49,6 @@ __all__ = [
     "percentile",
     "render_trend",
     "resolve_workload",
-    "run_cross_check",
     "run_workload",
     "save_workload",
     "write_bench_serve",

@@ -1,9 +1,8 @@
 """Drive a MERLIN front end with a workload; measure what matters.
 
 The harness replays a :class:`~repro.loadgen.workload.Workload` against
-a running server (sync or async — same protocol) through
-:class:`~repro.client.MerlinClient` with a bounded worker pool, and
-produces a :class:`LoadReport`:
+a running server through :class:`~repro.client.MerlinClient` with a
+bounded worker pool, and produces a :class:`LoadReport`:
 
 * per-request outcomes (status, latency, retries, ``cached``, tree
   signature) in request order — the raw record;
@@ -21,8 +20,8 @@ Reports back two kinds of claims:
 * **Correctness** — :func:`check_equivalence` asserts every
   cache-equivalent request group (repeats, renamed/translated twins)
   returned one tree signature, and :func:`compare_signature_maps`
-  diffs two replays of the same workload (the sync-vs-async
-  bit-identity gate in CI).
+  diffs two signature maps of the same workload (a replay against a
+  reference run).
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class LoadReport:
 
     def signature_map(self) -> Dict[str, str]:
         """Request index -> tree signature (successes only); the unit of
-        cross-path identity comparison."""
+        cross-run identity comparison."""
         return {str(o.index): o.signature for o in self.outcomes
                 if o.ok and o.signature is not None}
 
@@ -281,8 +280,8 @@ def check_equivalence(workload: Workload, report: LoadReport) -> List[str]:
 
 def compare_signature_maps(left: Dict[str, str], right: Dict[str, str],
                            ) -> List[str]:
-    """Cross-replay identity failures: requests answered by both runs
-    must carry identical tree signatures (the sync-vs-async CI gate)."""
+    """Cross-run identity failures: requests answered by both runs must
+    carry identical tree signatures."""
     failures = []
     for key in sorted(set(left) & set(right), key=int):
         if left[key] != right[key]:

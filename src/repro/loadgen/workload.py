@@ -25,7 +25,7 @@ the engine computes with, and last-ulp arithmetic differences can flip
 DP tie-breaks between equally-good trees — so a translated twin may
 legitimately compute a *different* valid tree than its base, and which
 one seeds the cache depends on arrival order.  A workload that must
-support the bit-identity gate (sync path == async path, signature for
+support a bit-identity gate (replay == reference run, signature for
 signature) therefore keeps ``translate_twins`` off; turn it on only for
 cache-realism load runs where the comparison is "one signature per
 equivalence class *per replay*" rather than across replays.

@@ -213,25 +213,3 @@ def run_batch(nets: Sequence[Net], tech: Technology,
 def default_worker_count() -> int:
     """A sensible pool size for this machine (used by CLI ``--workers 0``)."""
     return max(1, os.cpu_count() or 1)
-
-
-def multi_start_merlin(net: Net, tech: Technology,
-                       config: Optional[MerlinConfig] = None,
-                       objective: Optional[Objective] = None,
-                       seeds: Sequence[Optional[int]] = (None, 1, 2, 3),
-                       workers: Optional[int] = None) -> ParallelOutcome:
-    """Deprecated alias of :func:`run_multi_start`.
-
-    Kept importable for callers that picked up the pre-facade name; use
-    :func:`repro.optimize` (``multi_start=``/``seeds=``) or
-    :func:`run_multi_start` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.parallel.multi_start_merlin is deprecated; use "
-        "repro.optimize(net, multi_start=K) or "
-        "repro.parallel.run_multi_start",
-        DeprecationWarning, stacklevel=2)
-    return run_multi_start(net, tech, config=config, objective=objective,
-                           seeds=seeds, workers=workers)

@@ -1,7 +1,7 @@
-"""The async sharded serving tier (``merlin-repro serve --async``).
+"""The async sharded serving tier behind ``merlin-repro serve``.
 
-Scales the single-pool :mod:`repro.service` HTTP front end out to N
-worker-pool shards behind one asyncio listener with bounded admission:
+Serves :mod:`repro.service` over HTTP from N worker-pool shards behind
+one asyncio listener with bounded admission:
 
 * :mod:`repro.serve.sharding` — :class:`ConsistentHashRing`, routing
   canonical net signatures to shards with cache affinity and minimal
@@ -9,9 +9,10 @@ worker-pool shards behind one asyncio listener with bounded admission:
 * :mod:`repro.serve.server` — :class:`AsyncShardedServer`, the stdlib
   asyncio HTTP front end (bounded queue -> 429 + ``Retry-After``,
   per-shard thread pools over :class:`repro.service.OptimizationService`
-  instances, shard-down failover along the ring) speaking the same v1
-  protocol (:mod:`repro.service.protocol`) as the sync server —
-  bit-identical answers, by construction and by CI gate.
+  instances, shard-down failover along the ring) speaking the v1
+  protocol (:mod:`repro.service.protocol`);
+* :mod:`repro.serve.embedded` — :class:`EmbeddedAsyncServer`, the same
+  server on a background thread for tests and the load harness.
 
 Typical embedded use (tests, the load harness)::
 

@@ -1,15 +1,15 @@
-"""Run front ends in-process, on background threads.
+"""Run the front end in-process, on a background thread.
 
-Tests, the load harness's ``--self-serve`` mode, and the CI smoke jobs
-all need a bound, serving front end without shelling out: these context
-managers own the thread/loop plumbing so call sites stay three lines.
+Tests, the load harness's self-serve mode, and the CI smoke jobs all
+need a bound, serving front end without shelling out: this context
+manager owns the thread/loop plumbing so call sites stay three lines.
 
 ::
 
     with EmbeddedAsyncServer(shards=4, workers=1) as server:
         report = run_workload(server.base_url, workload)
 
-    with EmbeddedSyncServer(service) as server:
+    with EmbeddedAsyncServer(services=[service]) as server:
         MerlinClient(server.base_url).optimize(net)
 """
 
@@ -20,7 +20,6 @@ import threading
 from typing import Any, Optional, Sequence
 
 from repro.service.engine import OptimizationService
-from repro.service.http import make_server
 from repro.serve.server import (
     DEFAULT_QUEUE_LIMIT,
     AsyncShardedServer,
@@ -102,42 +101,3 @@ class EmbeddedAsyncServer:
     def base_url(self) -> str:
         return f"http://{self._host}:{self.server.port}"
 
-
-class EmbeddedSyncServer:
-    """The threading HTTP server on a daemon thread (same contract)."""
-
-    def __init__(self, service: Optional[OptimizationService] = None,
-                 host: str = "127.0.0.1", **service_kwargs: Any) -> None:
-        self._owns_service = service is None
-        self.service = service if service is not None \
-            else OptimizationService(**service_kwargs)
-        self._host = host
-        self._server = None
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "EmbeddedSyncServer":
-        self._server = make_server(self.service, host=self._host)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True,
-            name="merlin-sync-serve")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-        if self._owns_service:
-            self.service.close()
-
-    def drain(self, timeout_s: float = 30.0) -> dict:
-        """Graceful drain (503 new work, wait in-flight, flush cache)."""
-        assert self._server is not None
-        return self._server.drain(timeout_s=timeout_s)
-
-    @property
-    def base_url(self) -> str:
-        assert self._server is not None
-        return f"http://{self._host}:{self._server.server_port}"

@@ -1,4 +1,4 @@
-"""The asyncio sharded HTTP front end (``merlin-repro serve --async``).
+"""The asyncio sharded HTTP front end (``merlin-repro serve``).
 
 Architecture — one event loop, N worker-pool shards::
 
@@ -55,10 +55,9 @@ Architecture — one event loop, N worker-pool shards::
   the shared disk tier before the listener closes.
 
 Endpoint semantics — parsing, handlers, envelopes, error bodies — come
-from :mod:`repro.service.protocol`, the same module the sync front end
-uses, which is why the two paths answer bit-identically (the engine is
-deterministic, so even cross-shard answers match): the CI gate replays
-one workload through both and diffs tree signatures.
+from :mod:`repro.service.protocol`.  The engine is deterministic, so
+every shard answers a request with the tree a direct
+:meth:`OptimizationService.optimize_many` call computes for it.
 """
 
 from __future__ import annotations
@@ -344,9 +343,7 @@ class AsyncShardedServer:
                               ) -> Tuple[int, Dict[str, Any],
                                          List[Tuple[str, str]]]:
         started = time.perf_counter()
-        is_v1, endpoint, is_legacy = protocol.split_path(path)
-        if is_legacy:
-            self._record(metric.SERVICE_HTTP_LEGACY_PATH)
+        endpoint = protocol.split_path(path)
         outcome: Optional[protocol.EndpointOutcome] = None
         body: Any = None
         if method == "POST" and endpoint is not None:
@@ -359,15 +356,10 @@ class AsyncShardedServer:
             outcome = await self._dispatch(method, endpoint, body, path)
         self._record_series(metric.SERVE_REQUEST_LATENCY_S,
                             time.perf_counter() - started)
-        if is_v1 or endpoint is None:
-            payload = protocol.envelope(
-                outcome, protocol.new_request_id(),
-                protocol.timing_ms_since(started))
-        else:
-            payload = protocol.legacy_body(outcome)
+        payload = protocol.envelope(
+            outcome, protocol.new_request_id(),
+            protocol.timing_ms_since(started))
         headers: List[Tuple[str, str]] = []
-        if is_legacy:
-            headers.append(("Deprecation", "true"))
         if outcome.retry_after_s is not None:
             headers.append(("Retry-After",
                             str(max(1, math.ceil(outcome.retry_after_s)))))
@@ -400,9 +392,7 @@ class AsyncShardedServer:
             self._in_flight -= 1
 
     def _healthz_body(self) -> Dict[str, Any]:
-        """Per-shard health: overall status plus each breaker snapshot.
-        The sync front end keeps the flat ``{"status": "ok"}`` body; the
-        sharded tier is where per-shard state exists to report."""
+        """Per-shard health: overall status plus each breaker snapshot."""
         shards = [{"index": index, "breaker": breaker.snapshot()}
                   for index, breaker in enumerate(self.breakers)]
         degraded = any(s["breaker"]["state"] != STATE_CLOSED
@@ -589,7 +579,7 @@ def serve_async(host: str, port: int,
                 brownout_after: Optional[int] = None,
                 drain_timeout_s: float = 30.0,
                 **service_kwargs: Any) -> None:
-    """Blocking entry point behind ``merlin-repro serve --async``.
+    """Blocking entry point behind ``merlin-repro serve``.
 
     SIGTERM triggers a graceful drain (in-flight requests finish, new
     ones get 503 + ``Retry-After``, the disk cache tier is flushed)
@@ -612,7 +602,7 @@ def serve_async(host: str, port: int,
             loop.add_signal_handler(signal.SIGTERM, sigterm.set)
         except (NotImplementedError, ValueError):
             pass  # platforms/threads without signal support
-        print(f"merlin-repro async service listening on http://{host}:"
+        print(f"merlin-repro service listening on http://{host}:"
               f"{server.port}  ({len(server.services)} shards, queue "
               f"limit {server.queue_limit}; POST /v1/optimize, "
               f"POST /v1/closure, GET /v1/stats, GET /v1/healthz; "
@@ -624,9 +614,8 @@ def serve_async(host: str, port: int,
             return_when=asyncio.FIRST_COMPLETED)
         if drain_task in done:
             report = await server.drain(timeout_s=drain_timeout_s)
-            print("merlin-repro async service drained "
-                  f"(flushed {report['flushed']} cache entries, "
-                  f"{report['in_flight']} request(s) abandoned)")
+            print(f"drained: in_flight={report['in_flight']} "
+                  f"flushed={report['flushed']}")
         serve_task.cancel()
         drain_task.cancel()
         for task in (serve_task, drain_task):

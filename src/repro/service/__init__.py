@@ -10,11 +10,8 @@ Turns the one-shot MERLIN engine into a long-lived multi-net service:
   :func:`optimize_many`, the warm-process-pool batch engine with per-job
   timeout, error isolation, and serial degradation;
 * :mod:`repro.service.protocol` — the versioned v1 wire surface
-  (envelope, error bodies, endpoint handlers) shared by every front end;
-* :mod:`repro.service.http` — the stdlib sync HTTP front end behind
-  ``merlin-repro serve`` (``POST /v1/optimize``, ``POST /v1/closure``,
-  ``GET /v1/stats``, ``GET /v1/healthz``, plus deprecated pre-v1 shims);
-  the async sharded front end lives in :mod:`repro.serve`.
+  (envelope, error bodies, endpoint handlers); the HTTP front end behind
+  ``merlin-repro serve`` lives in :mod:`repro.serve`.
 
 Typical library use::
 
@@ -36,13 +33,7 @@ from repro.service.engine import (
     ServiceResult,
     optimize_many,
 )
-from repro.service.http import ServiceHTTPServer, make_server, serve
-from repro.service.protocol import (
-    API_VERSION,
-    EndpointOutcome,
-    envelope,
-    legacy_body,
-)
+from repro.service.protocol import API_VERSION, EndpointOutcome, envelope
 
 __all__ = [
     "ResultCache",
@@ -52,11 +43,7 @@ __all__ = [
     "OptimizationService",
     "ServiceResult",
     "optimize_many",
-    "ServiceHTTPServer",
-    "make_server",
-    "serve",
     "API_VERSION",
     "EndpointOutcome",
     "envelope",
-    "legacy_body",
 ]

@@ -39,6 +39,7 @@ import copy
 import hashlib
 import json
 import os
+import tempfile
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
@@ -236,22 +237,26 @@ class ResultCache:
     def _write_disk(self, key: str, payload: Dict[str, Any]) -> None:
         if self.disk_dir is None:
             return
-        path = self._disk_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
         blob = json.dumps({
             "version": PAYLOAD_VERSION,
             "checksum": payload_checksum(payload),
             "payload": payload,
         })
         blob = fault_point("service.cache.write", data=blob, key=key)
+        tmp = None
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
+            # One temp file per call: shards of one server share the pid
+            # and the disk tier, so a pid-named temp file would let two
+            # writers of the same key interleave into a torn entry.
+            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
+            with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(blob)
-            os.replace(tmp, path)
+            os.replace(tmp, self._disk_path(key))
         except OSError:
             # Disk tier is best-effort: a full/read-only disk degrades the
             # cache to memory-only rather than failing the request.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass

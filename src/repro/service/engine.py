@@ -209,7 +209,7 @@ class ServiceResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable response body (``POST /optimize`` shape)."""
+        """JSON-serializable body (the ``POST /v1/optimize`` result)."""
         data: Dict[str, Any] = {
             "net": self.net_name,
             "ok": self.ok,

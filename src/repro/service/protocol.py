@@ -1,11 +1,9 @@
-"""The versioned v1 service protocol, shared by every HTTP front end.
+"""The versioned v1 service protocol.
 
 This module is the single definition of the service's wire surface: the
-sync threading server (:mod:`repro.service.http`) and the async sharded
-front end (:mod:`repro.serve`) both parse requests, run endpoints, and
-render bodies through the functions here, so the two paths cannot drift
-apart — the v1 schema tests pin *this* module and both servers inherit
-the guarantee.
+async sharded front end (:mod:`repro.serve`) parses requests, runs the
+work-bearing endpoints, and renders bodies through the functions here,
+and the v1 schema tests pin *this* module.
 
 **The v1 envelope.**  Every ``/v1/*`` response is one JSON object::
 
@@ -30,15 +28,8 @@ Status codes follow the category — **400** input, **503** resource,
 **500** internal — with two kind-specific overrides: a full admission
 queue (``admission_rejected``) is **429** + ``Retry-After``, and an
 unknown path (``unknown_path``) is **404**, also carried in the v1
-envelope so clients never see an unstructured error.
-
-**Legacy shims.**  The pre-v1 paths (``/optimize``, ``/closure``,
-``/stats``, ``/healthz``) stay servable as thin shims: same endpoint
-handlers, rendered through :func:`legacy_body` (the historical response
-shape — the v1 envelope's ``result`` field, or the old
-``{"error", "error_detail"}`` object), plus a ``Deprecation: true``
-response header and one ``service.http.legacy_path`` counter tick per
-request.  New clients should speak ``/v1/`` only.
+envelope so clients never see an unstructured error.  That includes the
+unversioned pre-v1 paths (``/optimize`` and friends).
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.instrument import names as metric
 from repro.net import net_from_dict
@@ -76,9 +67,6 @@ ENDPOINTS = {
     ("GET", "stats"),
     ("GET", "healthz"),
 }
-
-#: Pre-v1 paths kept alive as deprecated shims.
-LEGACY_PATHS = ("/optimize", "/closure", "/stats", "/healthz")
 
 #: Request bodies above this size are rejected outright (a net of tens of
 #: thousands of sinks is far beyond what the DP can serve anyway).
@@ -143,11 +131,9 @@ def error_body(record: ErrorRecord) -> Dict[str, Any]:
 class EndpointOutcome:
     """What one endpoint handler produced, before rendering.
 
-    ``result`` is the *legacy-shaped* payload (also the v1 envelope's
-    ``result`` field).  A failed service job keeps its legacy body in
-    ``result`` (the old ``/optimize`` returned ``ServiceResult.to_dict``
-    for failures too) while ``error`` carries the structured record; the
-    v1 renderer nulls ``result`` whenever ``error`` is set.
+    ``result`` is the envelope's ``result`` payload and ``error`` the
+    structured failure record; the renderer nulls ``result`` whenever
+    ``error`` is set, so the two stay exclusive on the wire.
     """
 
     status: int
@@ -176,29 +162,14 @@ def envelope(outcome: EndpointOutcome, request_id: str,
     }
 
 
-def legacy_body(outcome: EndpointOutcome) -> Dict[str, Any]:
-    """Render an outcome in the pre-v1 response shape."""
-    if outcome.result is not None:
-        return outcome.result
-    record = outcome.error or ErrorRecord(
-        kind="MerlinInternalError", category="internal", stage="http",
-        message="handler produced neither result nor error")
-    return {"error": record.message, "error_detail": record.to_dict()}
-
-
-def split_path(path: str) -> Tuple[bool, Optional[str], bool]:
-    """Classify a request path: ``(is_v1, endpoint_name, is_legacy)``.
-
-    ``endpoint_name`` is None for paths no surface serves (the method
-    check happens in :func:`dispatch`).
-    """
-    if path.startswith(V1_PREFIX):
-        name = path[len(V1_PREFIX):]
-        known = {endpoint for _, endpoint in ENDPOINTS}
-        return True, (name if name in known else None), False
-    if path in LEGACY_PATHS:
-        return False, path[1:], True
-    return False, None, False
+def split_path(path: str) -> Optional[str]:
+    """The endpoint name a request path addresses, or None for paths
+    the v1 surface does not serve (the method check is the caller's)."""
+    if not path.startswith(V1_PREFIX):
+        return None
+    name = path[len(V1_PREFIX):]
+    return name if name in {endpoint for _, endpoint in ENDPOINTS} \
+        else None
 
 
 def parse_json_bytes(raw: bytes) -> Any:
@@ -221,12 +192,12 @@ def _prefixed(record: ErrorRecord, prefix: str) -> ErrorRecord:
     return replace(record, message=f"{prefix}: {record.message}")
 
 
-# -- endpoint handlers (blocking; called from handler threads or the ----
-# -- async front end's shard executors) --------------------------------
+# -- work-bearing endpoint handlers (blocking; called from the async ----
+# -- front end's shard executors) ---------------------------------------
 
 
 def handle_optimize(service: Any, body: Any,
-                    path: str = "/optimize",
+                    path: str = "/v1/optimize",
                     brownout: bool = False) -> EndpointOutcome:
     """``POST optimize``: one net through the shared service.
 
@@ -257,11 +228,11 @@ def handle_optimize(service: Any, body: Any,
         return EndpointOutcome(200, result.to_dict(),
                                degraded=result.degraded)
     record = result.error_record
-    return EndpointOutcome(status_for(record), result.to_dict(), record)
+    return EndpointOutcome(status_for(record), None, record)
 
 
 def handle_closure(service: Any, body: Any,
-                   path: str = "/closure") -> EndpointOutcome:
+                   path: str = "/v1/closure") -> EndpointOutcome:
     """``POST closure``: full-netlist timing closure through the shared
     service.
 
@@ -310,46 +281,12 @@ def handle_closure(service: Any, body: Any,
         include_trees=bool(body.get("include_trees", False))))
 
 
-def handle_stats(service: Any) -> EndpointOutcome:
-    """``GET stats``: the service's counter/cache/latency snapshot."""
-    service._record(metric.service_endpoint_requests("stats"))
-    return EndpointOutcome(200, service.stats())
-
-
-def handle_healthz(service: Any) -> EndpointOutcome:
-    """``GET healthz``: liveness probe."""
-    service._record(metric.service_endpoint_requests("healthz"))
-    return EndpointOutcome(200, {"status": "ok"})
-
-
 def handle_unknown(path: str, method: str = "GET") -> EndpointOutcome:
     """Any path/method combination no surface serves: a 404 that still
     speaks the uniform v1 error envelope."""
     record = UnknownPathError(
         f"unknown path {path!r} for {method}", stage="http").record
     return EndpointOutcome(404, None, record)
-
-
-def dispatch(service: Any, method: str, endpoint: Optional[str],
-             body: Any = None, path: Optional[str] = None,
-             ) -> EndpointOutcome:
-    """Route one parsed request to its endpoint handler.
-
-    ``endpoint`` is the bare name from :func:`split_path` (None for
-    unknown paths); ``path`` is the original request path, threaded into
-    the fault-injection key so chaos plans can match on the exact URL
-    the client used.
-    """
-    path = path if path is not None else f"/{endpoint}"
-    if (method, endpoint) not in ENDPOINTS:
-        return handle_unknown(path, method)
-    if endpoint == "healthz":
-        return handle_healthz(service)
-    if endpoint == "stats":
-        return handle_stats(service)
-    if endpoint == "optimize":
-        return handle_optimize(service, body, path)
-    return handle_closure(service, body, path)
 
 
 def _closure_netlist(body: Dict[str, Any]):

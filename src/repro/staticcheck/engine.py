@@ -30,7 +30,6 @@ Exit-code semantics (used by the CLI and CI):
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import fnmatch
 import hashlib
 import json
@@ -64,9 +63,6 @@ _SUPPRESS_RE = re.compile(
 #: text quoted deeper in a file — e.g. in tests — cannot hijack it).
 _MODULE_RE = re.compile(r"#\s*staticcheck:\s*module=([A-Za-z0-9_.]+)")
 _MODULE_OVERRIDE_MAX_LINE = 5
-
-#: Thread-pool width for phase-1 cache misses.
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -470,33 +466,18 @@ def analyze_file(path: str, source: Optional[str] = None,
 def _analyze_files(files: Sequence[str],
                    cache: Optional["Cache"],
                    ) -> Tuple[List[FileAnalysis], int, int]:
-    """Phase 1 over all files: cache replay for clean hits, thread-pool
-    parse/analyze for the misses.  Deterministic output order."""
-    hits: Dict[str, FileAnalysis] = {}
-    misses: List[str] = []
+    """Phase 1 over all files, in order: cache replay for clean hits,
+    parse/analyze for the misses."""
+    ordered: List[FileAnalysis] = []
+    hits = 0
     for path in files:
         entry = cache.lookup(path) if cache is not None else None
-        if entry is not None:
-            hits[path] = entry
+        if entry is None:
+            entry = analyze_file(path)
         else:
-            misses.append(path)
-    analyzed: Dict[str, FileAnalysis] = {}
-    if misses:
-        workers = min(_MAX_WORKERS, max(1, len(misses)),
-                      os.cpu_count() or 1)
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=workers) as pool:
-                for analysis in pool.map(analyze_file, misses):
-                    analyzed[analysis.path] = analysis
-        else:
-            for path in misses:
-                analysis = analyze_file(path)
-                analyzed[analysis.path] = analysis
-    ordered: List[FileAnalysis] = []
-    for path in files:
-        ordered.append(hits.get(path) or analyzed[path])
-    return ordered, len(hits), len(misses)
+            hits += 1
+        ordered.append(entry)
+    return ordered, hits, len(files) - hits
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.staticcheck.engine import (
 #: ``submit`` matches any ``<pool>.submit(fn, ...)`` attribute call;
 #: the rest are this repo's drivers (and their deprecated aliases).
 _POOL_ENTRY_NAMES = frozenset({
-    "run_multi_start", "run_batch", "optimize_many", "multi_start_merlin",
+    "run_multi_start", "run_batch", "optimize_many",
 })
 
 

@@ -22,6 +22,7 @@ from repro.client import (
     RetryPolicy,
 )
 from repro.resilience.errors import (
+    MerlinError,
     MerlinInputError,
     MerlinResourceError,
     UnknownPathError,
@@ -75,13 +76,17 @@ def test_error_record_reads_the_envelope_detail():
         response.raise_for_error()
 
 
-def test_error_record_falls_back_to_the_legacy_shape():
+def test_error_record_needs_the_envelope_detail():
+    # A bare pre-v1 style body carries no envelope error: no record, and
+    # raise_for_error falls back to a plain MerlinError.
     record = UnknownPathError("gone", stage="http").record
     response = ClientResponse(
         404, {"error": "gone", "error_detail": record.to_dict()},
         headers={})
-    assert response.error_record() == record
+    assert response.error_record() is None
     assert not response.ok
+    with pytest.raises(MerlinError, match="HTTP 404"):
+        response.raise_for_error()
 
 
 def test_ok_requires_2xx_and_a_null_error():

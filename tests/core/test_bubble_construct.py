@@ -271,3 +271,19 @@ class TestGammaMemo:
         again = bubble_construct(changed, order, TECH, config=cfg,
                                  context=context)
         assert again.stats["gamma_memo_hits"] == full_hits
+
+    def test_recorder_counts_each_memo_hit_once(self, cfg):
+        from repro.instrument import Recorder
+        from repro.instrument import names as metric
+
+        net = build_net(6, seed=2)
+        recorder = Recorder()
+        config = cfg.with_(recorder=recorder)
+        context = make_context(net, TECH, config)
+        order = tsp_order(net)
+        runs = [bubble_construct(net, order, TECH, config=config,
+                                 context=context) for _ in range(2)]
+        engine_hits = sum(run.stats["gamma_memo_hits"] for run in runs)
+        assert engine_hits > 0
+        assert recorder.counters[metric.BUBBLE_GAMMA_MEMO_HITS] \
+            == engine_hits

@@ -6,11 +6,12 @@ corruption independently, quarantine it (best-effort: losing the
 ``os.replace`` race is fine), and recompute — landing on bit-identical
 answers, because the engine is deterministic.  Also covers the drain
 path's :meth:`ResultCache.flush`, which persists memory-tier entries
-the disk tier has not seen yet.
+the disk tier has not seen yet, and two shards writing one key at once.
 """
 
 from __future__ import annotations
 
+import builtins
 import os
 import threading
 
@@ -19,6 +20,7 @@ from repro.core.config import MerlinConfig
 from repro.instrument import names as metric
 from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.service import OptimizationService, ResultCache
+from repro.service import cache as cache_mod
 from repro.service.cache import QUARANTINE_DIR
 from repro.tech.technology import default_technology
 
@@ -132,3 +134,55 @@ def test_flush_without_a_disk_tier_is_a_noop():
                              cache=cache) as service:
         assert service.optimize(build_net(3, seed=63)).ok
         assert cache.flush() == 0
+
+
+def test_two_shards_writing_one_key_leave_a_valid_entry(tmp_path,
+                                                        monkeypatch):
+    # Two shards of one server (same pid) write the same key with
+    # payloads of different lengths, as engine_wall_s makes them.  The
+    # patched open() holds both writers until each has its temp file
+    # open, then lets the long payload land before the short one: a
+    # temp file shared between the writers would end up as the short
+    # payload followed by the long one's tail.
+    disk = str(tmp_path / "cache")
+    key = "k" * 64
+    payloads = {"long": {"engine_wall_s": 0.123456789, "pad": "x" * 64},
+                "short": {"engine_wall_s": 0.5}}
+    both_open = threading.Barrier(2)
+    long_written = threading.Event()
+    real_open = builtins.open
+
+    def gated_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            both_open.wait(timeout=10)
+            if threading.current_thread().name == "short":
+                assert long_written.wait(timeout=10)
+        return handle
+
+    monkeypatch.setattr(cache_mod, "open", gated_open, raising=False)
+    failures = []
+
+    def write(name):
+        try:
+            ResultCache(disk_dir=disk).put(key, payloads[name])
+        except Exception as exc:  # surfaced below, not lost in a thread
+            failures.append(exc)
+        finally:
+            if name == "long":
+                long_written.set()
+
+    threads = [threading.Thread(target=write, args=(name,), name=name)
+               for name in payloads]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    monkeypatch.undo()
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+    reader = ResultCache(disk_dir=disk)
+    assert reader.get(key) == payloads["short"]
+    assert reader.stats()["corruptions"] == 0
+    assert os.listdir(disk) == [f"{key}.json"]  # no stray temp files

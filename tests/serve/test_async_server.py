@@ -1,7 +1,12 @@
-"""The async sharded front end: round trips, admission control, shard
-failover, cache affinity, and sync/async bit-identity."""
+"""The HTTP front end: v1 endpoint semantics (envelopes, body parsing,
+status mapping, closure), admission control, shard failover, and cache
+affinity."""
 
 from __future__ import annotations
+
+import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -33,9 +38,44 @@ def server():
         yield embedded
 
 
+@pytest.fixture()
+def single():
+    """One shard over a caller-owned service, for per-service stats."""
+    service = OptimizationService(cache=ResultCache(), **SERVICE_KWARGS)
+    try:
+        with EmbeddedAsyncServer(services=[service]) as embedded:
+            yield embedded
+    finally:
+        service.close()
+
+
 def _no_retry_client(server):
     return MerlinClient(server.base_url,
                         retry=RetryPolicy(max_attempts=1))
+
+
+def _post_raw(url, raw):
+    """POST raw bytes (the client only sends JSON it encoded itself)."""
+    request = urllib.request.Request(
+        url, data=raw, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read()), \
+                dict(response.headers)
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read()), dict(error.headers)
+
+
+ENVELOPE_KEYS = {"api_version", "request_id", "result", "error",
+                 "degraded", "timing_ms"}
+
+
+def _assert_envelope(body):
+    assert set(body) == ENVELOPE_KEYS
+    assert body["api_version"] == "v1"
+    assert isinstance(body["request_id"], str) and body["request_id"]
+    assert isinstance(body["timing_ms"], (int, float))
+    assert (body["result"] is None) != (body["error"] is None)
 
 
 def test_v1_optimize_round_trip_and_envelope(server):
@@ -45,12 +85,36 @@ def test_v1_optimize_round_trip_and_envelope(server):
                               {"net": net_to_dict(net)})
     assert response.status == 200 and response.ok
     body = response.body
-    assert set(body) == {"api_version", "request_id", "result", "error",
-                         "degraded", "timing_ms"}
-    assert body["api_version"] == "v1" and body["error"] is None
+    _assert_envelope(body)
+    assert body["error"] is None and body["degraded"] is False
+    assert body["result"]["ok"] and not body["result"]["cached"]
     tree = tree_from_dict(body["result"]["tree"], net, TECH.buffers)
     validate_tree(tree)
     assert tree_signature(tree) == body["result"]["tree_signature"]
+
+
+def test_second_post_is_a_cache_hit_with_identical_signature(single):
+    client = _no_retry_client(single)
+    net = build_net(3, seed=12)
+    cold = client.optimize(net)
+    warm = client.optimize(net)
+    assert warm["cached"] is True
+    assert warm["tree_signature"] == cold["tree_signature"]
+    assert warm["tree"] == cold["tree"]
+
+    (shard,) = client.stats()["shards"]
+    assert shard["cache"]["hits"] == 1
+    assert shard["cache"]["misses"] == 1
+    assert shard["counters"]["service.cache.hits"] == 1
+    assert shard["execution_mode"] == "serial"
+    assert shard["workers"] == 1
+
+
+def test_bare_net_payload_is_accepted(server):
+    client = _no_retry_client(server)
+    response = client.request("POST", "/v1/optimize",
+                              net_to_dict(build_net(2, seed=13)))
+    assert response.status == 200 and response.result["ok"]
 
 
 def test_equivalent_requests_share_one_shard_cache(server):
@@ -70,8 +134,14 @@ def test_equivalent_requests_share_one_shard_cache(server):
 
 def test_probes_bypass_admission_and_stats_reports_the_tier(server):
     client = _no_retry_client(server)
-    assert client.healthz() is True
-    stats = client.stats()
+    health = client.request("GET", "/v1/healthz")
+    assert health.status == 200
+    _assert_envelope(health.body)
+    assert health.result["status"] == "ok"
+    response = client.request("GET", "/v1/stats")
+    assert response.status == 200
+    _assert_envelope(response.body)
+    stats = response.result
     assert stats["mode"] == "async-sharded"
     assert stats["shard_count"] == 2
     assert stats["queue_limit"] > 0
@@ -84,33 +154,188 @@ def test_bad_inputs_produce_the_v1_error_envelope(server):
     response = client.request("POST", "/v1/optimize",
                               {"net": {"name": "broken"}})
     assert response.status == 400
-    assert response.error["code"] == "malformed_net"
-    assert response.body["result"] is None
+    _assert_envelope(response.body)
+    error = response.error
+    assert set(error) == {"category", "code", "message", "detail"}
+    assert error["code"] == "malformed_net"
+    assert error["detail"]["kind"] == "MalformedNetError"
     record = response.error_record()
     assert record is not None and record.category == "input"
+
+
+def test_unparseable_bodies_are_400(server):
+    url = f"{server.base_url}/v1/optimize"
+    for raw, message in ((b"{not json", "not valid JSON"),
+                         (b"", "empty request body")):
+        status, body, _ = _post_raw(url, raw)
+        assert status == 400
+        _assert_envelope(body)
+        assert body["error"]["category"] == "input"
+        assert message in body["error"]["message"]
+
+
+def test_input_errors_are_400_with_a_field_precise_detail(server):
+    client = _no_retry_client(server)
+    net_payload = net_to_dict(build_net(3, seed=15))
+    del net_payload["sinks"][1]["load"]
+    response = client.request("POST", "/v1/optimize", {"net": net_payload})
+    assert response.status == 400
+    error = response.error
+    assert "invalid net payload" in error["message"]
+    assert error["category"] == "input"
+    assert "sink #1" in error["detail"]["message"]
+    assert "'load'" in error["detail"]["message"]
 
 
 def test_unknown_paths_answer_the_envelope_404(server):
     client = _no_retry_client(server)
     response = client.request("GET", "/nowhere")
     assert response.status == 404
+    _assert_envelope(response.body)
     assert response.error["code"] == "unknown_path"
+    assert response.error["category"] == "input"
+    assert "/nowhere" in response.error["message"]
     response = client.request("GET", "/v1/optimize")  # wrong method
     assert response.status == 404
+    # The unversioned pre-v1 paths are unknown paths like any other.
+    net = {"net": net_to_dict(build_net(3, seed=33))}
+    for method, path, payload in (("POST", "/optimize", net),
+                                  ("GET", "/healthz", None)):
+        response = client.request(method, path, payload)
+        assert response.status == 404
+        assert response.error["code"] == "unknown_path"
 
 
-def test_legacy_shim_keeps_the_historical_shape(server):
+def test_every_response_is_json_content_type(server):
     client = _no_retry_client(server)
-    net = build_net(3, seed=33)
-    response = client.request("POST", "/optimize",
-                              {"net": net_to_dict(net)})
+    net = {"net": net_to_dict(build_net(2, seed=14))}
+    for response in (
+        client.request("GET", "/v1/healthz"),
+        client.request("GET", "/v1/stats"),
+        client.request("POST", "/v1/optimize", net),
+        client.request("POST", "/v1/optimize", {"net": {}}),
+        client.request("GET", "/nope"),
+    ):
+        assert response.headers["Content-Type"] == "application/json"
+        assert int(response.headers["Content-Length"]) > 0
+
+
+# ----------------------------------------------------------------------
+# Error-taxonomy status mapping on a failing or degrading service
+# ----------------------------------------------------------------------
+
+def _resource_error_runner(job):
+    from repro.resilience.errors import PoolUnavailableError
+
+    raise PoolUnavailableError("pool exhausted", stage="pool")
+
+
+def _internal_error_runner(job):
+    from repro.resilience.errors import MerlinInternalError
+
+    raise MerlinInternalError("invariant violated", stage="engine")
+
+
+def _optimize_once(service, seed):
+    try:
+        with EmbeddedAsyncServer(services=[service]) as embedded:
+            return _no_retry_client(embedded).request(
+                "POST", "/v1/optimize",
+                {"net": net_to_dict(build_net(3, seed=seed))})
+    finally:
+        service.close()
+
+
+def _response_for_runner(runner, monkeypatch):
+    from repro.service import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", runner)
+    service = OptimizationService(cache=ResultCache(), **SERVICE_KWARGS)
+    return _optimize_once(service, seed=16)
+
+
+def test_resource_errors_are_503(monkeypatch):
+    response = _response_for_runner(_resource_error_runner, monkeypatch)
+    assert response.status == 503
+    _assert_envelope(response.body)
+    assert response.error["category"] == "resource"
+    assert response.error["detail"]["kind"] == "PoolUnavailableError"
+
+
+def test_internal_errors_are_500(monkeypatch):
+    response = _response_for_runner(_internal_error_runner, monkeypatch)
+    assert response.status == 500
+    _assert_envelope(response.body)
+    assert response.error["category"] == "internal"
+
+
+def test_degraded_results_are_200_and_carry_the_degradation_detail():
+    from repro.baselines.star import buffered_star
+
+    service = OptimizationService(cache=ResultCache(), budget_ops=1,
+                                  **SERVICE_KWARGS)
+    response = _optimize_once(service, seed=17)
     assert response.status == 200
-    assert "api_version" not in response.body  # legacy body, no envelope
-    assert response.body["ok"] is True
-    assert response.headers.get("Deprecation") == "true"
-    stats = client.stats()
-    front = stats["counters"]
-    assert front["service.http.legacy_path"] >= 1
+    _assert_envelope(response.body)
+    assert response.body["degraded"] is True
+    result = response.result
+    assert result["ok"] and result["degraded"]
+    assert result["degradation"]["rung"] == "buffered_star"
+    assert result["tree_signature"] == tree_signature(
+        buffered_star(build_net(3, seed=17), TECH))
+
+
+# ----------------------------------------------------------------------
+# POST /v1/closure
+# ----------------------------------------------------------------------
+
+def test_closure_endpoint_runs_a_named_circuit(server):
+    client = _no_retry_client(server)
+    response = client.request("POST", "/v1/closure",
+                              {"circuit": "b9", "order": "criticality",
+                               "batch_size": 4})
+    assert response.status == 200
+    _assert_envelope(response.body)
+    body = response.result
+    assert body["converged"] is True
+    assert body["circuit"] == "b9"
+    assert body["policy"] == "criticality"
+    assert body["iterations"]
+    slacks = [it["worst_slack"] for it in body["iterations"]]
+    assert all(slacks[i] <= slacks[i + 1] + 1e-6
+               for i in range(len(slacks) - 1))
+    assert body["nets_optimized"] == len(body["signatures"])
+    assert "trees" not in body  # opt-in via include_trees
+
+
+def test_closure_endpoint_accepts_an_inline_netlist(server):
+    from repro.netlist.generator import CircuitSpec, generate_circuit
+    from repro.netlist.io import netlist_to_dict
+
+    spec = CircuitSpec(name="http_inline", primary_inputs=4,
+                       primary_outputs=3, logic_gates=10, levels=3,
+                       max_fanout=4, seed=7)
+    body = _no_retry_client(server).closure(
+        {"netlist": netlist_to_dict(generate_circuit(spec)),
+         "include_trees": True})
+    assert body["circuit"] == "http_inline"
+    assert body["converged"] is True
+    assert sorted(body["trees"]) == sorted(body["signatures"])
+
+
+@pytest.mark.parametrize("request_body, message", [
+    ({"circuit": "nope"}, "unknown circuit"),
+    ({"circuit": "b9", "order": "bogus"}, "unknown ordering policy"),
+    ({"circuit": "b9", "target_scale": 2.0}, "target_scale"),
+])
+def test_closure_endpoint_rejects_bad_requests(server, request_body,
+                                               message):
+    response = _no_retry_client(server).request(
+        "POST", "/v1/closure", request_body)
+    assert response.status == 400
+    _assert_envelope(response.body)
+    assert response.error["category"] == "input"
+    assert message in response.error["message"]
 
 
 def test_admission_fault_forces_429_with_retry_after(server):

@@ -1,7 +1,6 @@
-"""Graceful drain on both front ends, plus the SIGTERM path end to end.
+"""Graceful drain of the front end, plus the SIGTERM path end to end.
 
-The drain contract (shared by the sync threading server and the async
-sharded tier): new work answers **503 + Retry-After** with the
+The drain contract: new work answers **503 + Retry-After** with the
 ``server_draining`` code, probes keep answering, in-flight requests run
 to completion, and memory-tier cache entries the disk tier has not seen
 are flushed before the listener closes.
@@ -21,8 +20,8 @@ from tests.conftest import build_net
 from repro.client import MerlinClient, RetryPolicy
 from repro.core.config import MerlinConfig
 from repro.net import net_to_dict
-from repro.serve.embedded import EmbeddedAsyncServer, EmbeddedSyncServer
-from repro.service import OptimizationService, ResultCache
+from repro.serve.embedded import EmbeddedAsyncServer
+from repro.service import OptimizationService
 from repro.tech.technology import default_technology
 
 TECH = default_technology()
@@ -42,82 +41,7 @@ def _post_net(client, seed):
                           {"net": net_to_dict(build_net(3, seed=seed))})
 
 
-# ----------------------------------------------------------------------
-# Sync front end
-# ----------------------------------------------------------------------
-
-def test_sync_drain_refuses_work_but_answers_probes(tmp_path):
-    cache = ResultCache(disk_dir=str(tmp_path / "cache"))
-    service = OptimizationService(cache=cache, **SERVICE_KWARGS)
-    with EmbeddedSyncServer(service) as server:
-        client = _client(server)
-        assert _post_net(client, seed=80).status == 200
-
-        # Hollow out the disk tier so the drain has something to flush.
-        disk = str(tmp_path / "cache")
-        for name in os.listdir(disk):
-            os.unlink(os.path.join(disk, name))
-
-        report = server.drain(timeout_s=5.0)
-        assert report["drained"] is True and report["in_flight"] == 0
-        assert report["flushed"] == 1  # the memory-only entry
-
-        # New work: structured 503 + Retry-After.  Probes: still alive.
-        refused = _post_net(client, seed=81)
-        assert refused.status == 503
-        assert refused.error["code"] == "server_draining"
-        assert int(refused.headers.get("Retry-After", 0)) >= 1
-        assert client.healthz() is True
-        assert client.stats()["counters"]["serve.drain.refusals"] >= 1
-    service.close()
-
-
-def test_sync_drain_waits_for_in_flight_requests():
-    # Gate the compute on an event so the request is *provably* in
-    # flight when the drain starts — no timing poll, no flake.
-    service = OptimizationService(**SERVICE_KWARGS)
-    entered, release = threading.Event(), threading.Event()
-    original = service.optimize
-
-    def gated(net, **kwargs):
-        entered.set()
-        assert release.wait(timeout=60)
-        return original(net, **kwargs)
-
-    service.optimize = gated
-    with EmbeddedSyncServer(service) as server:
-        client = _client(server)
-        outcome = {}
-
-        def slow_request():
-            outcome["response"] = _post_net(client, seed=82)
-
-        worker = threading.Thread(target=slow_request)
-        worker.start()
-        assert entered.wait(timeout=30)  # admitted, inside the handler
-
-        drain_box = {}
-        drainer = threading.Thread(
-            target=lambda: drain_box.update(server.drain(timeout_s=60.0)))
-        drainer.start()
-        # The drain is now waiting on the gated request, not cutting it
-        # off; release the compute and everything unwinds.
-        deadline = time.monotonic() + 10.0
-        while not server._server.draining and time.monotonic() < deadline:
-            time.sleep(0.005)
-        release.set()
-        drainer.join(timeout=60)
-        worker.join(timeout=60)
-
-        assert drain_box["drained"] is True
-        assert outcome["response"].status == 200  # finished, not cut off
-
-
-# ----------------------------------------------------------------------
-# Async front end
-# ----------------------------------------------------------------------
-
-def test_async_drain_refuses_then_flushes_and_stops(tmp_path):
+def test_drain_refuses_then_flushes_and_stops(tmp_path):
     disk = str(tmp_path / "cache")
     with EmbeddedAsyncServer(shards=2, disk_dir=disk,
                              **SERVICE_KWARGS) as server:
@@ -136,17 +60,61 @@ def test_async_drain_refuses_then_flushes_and_stops(tmp_path):
         assert int(refused.headers.get("Retry-After", 0)) >= 1
         health = client.request("GET", "/v1/healthz").result
         assert health["status"] == "draining"
+        assert client.stats()["counters"]["serve.drain.refusals"] >= 1
 
         report = server.drain(timeout_s=5.0)
-        assert report["drained"] is True
+        assert report["drained"] is True and report["in_flight"] == 0
         assert report["flushed"] == 1  # re-persisted from the shard LRU
 
         # The listener is gone: probes now fail at the transport layer.
         assert client.healthz() is False
 
 
+def test_drain_waits_for_in_flight_requests():
+    # Gate the compute on an event so the request is *provably* in
+    # flight when the drain starts — no timing poll, no flake.
+    service = OptimizationService(**SERVICE_KWARGS)
+    entered, release = threading.Event(), threading.Event()
+    original = service.optimize
+
+    def gated(net, **kwargs):
+        entered.set()
+        assert release.wait(timeout=60)
+        return original(net, **kwargs)
+
+    service.optimize = gated
+    with EmbeddedAsyncServer(services=[service]) as server:
+        client = _client(server)
+        outcome = {}
+
+        def slow_request():
+            outcome["response"] = _post_net(client, seed=82)
+
+        worker = threading.Thread(target=slow_request)
+        worker.start()
+        assert entered.wait(timeout=30)  # admitted, inside the handler
+
+        drain_box = {}
+        drainer = threading.Thread(
+            target=lambda: drain_box.update(server.drain(timeout_s=60.0)))
+        drainer.start()
+        # The drain is now waiting on the gated request, not cutting it
+        # off; release the compute and everything unwinds.
+        deadline = time.monotonic() + 10.0
+        while not server.server.draining and time.monotonic() < deadline:
+            time.sleep(0.005)
+        release.set()
+        drainer.join(timeout=60)
+        worker.join(timeout=60)
+
+        assert not drainer.is_alive() and not worker.is_alive()
+        assert drain_box["drained"] is True
+        assert outcome["response"].status == 200  # finished, not cut off
+    service.close()
+
+
 # ----------------------------------------------------------------------
-# SIGTERM end to end (the CLI's blocking sync entry point)
+# SIGTERM end to end (the CLI's blocking entry point)
 # ----------------------------------------------------------------------
 
 def test_sigterm_drains_the_cli_server():
@@ -166,6 +134,7 @@ def test_sigterm_drains_the_cli_server():
         client = MerlinClient(f"http://127.0.0.1:{match.group(1)}",
                               retry=RetryPolicy(max_attempts=1))
         assert client.wait_healthy(timeout_s=30)
+        assert client.stats()["mode"] == "async-sharded"
         assert _post_net(client, seed=85).status == 200
 
         proc.send_signal(signal.SIGTERM)

@@ -1,8 +1,7 @@
 """The v1 wire protocol: codes, statuses, envelopes, path routing.
 
-These are the schema goldens both front ends inherit — the sync server
-and the async sharded server render through this module, so pinning the
-shapes here pins them everywhere.
+These are the schema goldens the front end inherits — it renders
+through this module, so pinning the shapes here pins them on the wire.
 """
 
 from __future__ import annotations
@@ -16,14 +15,11 @@ from repro.resilience.errors import (
 )
 from repro.service.protocol import (
     API_VERSION,
-    ENDPOINTS,
-    LEGACY_PATHS,
     MAX_BODY_BYTES,
     EndpointOutcome,
     envelope,
     error_body,
     error_code,
-    legacy_body,
     new_request_id,
     parse_json_bytes,
     split_path,
@@ -56,7 +52,7 @@ def test_status_follows_category_with_kind_overrides():
 
 
 # ----------------------------------------------------------------------
-# envelope / legacy rendering
+# envelope rendering
 # ----------------------------------------------------------------------
 
 def test_success_envelope_golden_shape():
@@ -74,8 +70,8 @@ def test_success_envelope_golden_shape():
 
 def test_error_envelope_nulls_result_even_when_outcome_kept_one():
     record = MerlinInputError("bad sink", stage="net").record
-    # Failed service jobs keep their legacy body in outcome.result; the
-    # v1 renderer must still null it so result/error stay exclusive.
+    # Whatever a handler left in outcome.result, the renderer must null
+    # it on failure so result/error stay exclusive.
     outcome = EndpointOutcome(400, {"ok": False}, record)
     body = envelope(outcome, "rid-2", 0.5)
     assert body["result"] is None
@@ -84,13 +80,6 @@ def test_error_envelope_nulls_result_even_when_outcome_kept_one():
     assert body["error"]["category"] == "input"
     assert body["error"]["code"] == "merlin_input"
     assert body["error"]["detail"] == record.to_dict()
-
-
-def test_legacy_body_is_the_result_verbatim_or_the_old_error_shape():
-    assert legacy_body(EndpointOutcome(200, {"ok": True})) == {"ok": True}
-    record = MerlinInputError("nope", stage="http").record
-    body = legacy_body(EndpointOutcome(400, None, record))
-    assert body == {"error": "nope", "error_detail": record.to_dict()}
 
 
 def test_exactly_one_of_result_and_error_is_non_null():
@@ -105,16 +94,13 @@ def test_exactly_one_of_result_and_error_is_non_null():
 # path classification
 # ----------------------------------------------------------------------
 
-def test_split_path_classifies_all_three_surfaces():
-    assert split_path("/v1/optimize") == (True, "optimize", False)
-    assert split_path("/v1/healthz") == (True, "healthz", False)
-    assert split_path("/v1/nope") == (True, None, False)
-    for path in LEGACY_PATHS:
-        is_v1, endpoint, is_legacy = split_path(path)
-        assert (is_v1, is_legacy) == (False, True)
-        assert ("POST", endpoint) in ENDPOINTS or \
-            ("GET", endpoint) in ENDPOINTS
-    assert split_path("/nowhere") == (False, None, False)
+def test_split_path_serves_only_the_v1_endpoints():
+    assert split_path("/v1/optimize") == "optimize"
+    assert split_path("/v1/healthz") == "healthz"
+    assert split_path("/v1/nope") is None
+    for path in ("/optimize", "/closure", "/stats", "/healthz",
+                 "/nowhere"):
+        assert split_path(path) is None
 
 
 # ----------------------------------------------------------------------

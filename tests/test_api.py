@@ -174,18 +174,6 @@ def test_facade_is_exported_at_top_level():
     assert "ResultCache" in repro.__all__
 
 
-def test_multi_start_merlin_shim_warns_and_delegates():
-    from repro import parallel
-
-    net = build_net(3, seed=29)
-    with pytest.warns(DeprecationWarning, match="run_multi_start"):
-        shimmed = parallel.multi_start_merlin(
-            net, TECH, config=CONFIG, seeds=[None, 1], workers=1)
-    direct = parallel.run_multi_start(
-        net, TECH, config=CONFIG, seeds=[None, 1], workers=1)
-    assert shimmed.best.signature == direct.best.signature
-
-
 # ----------------------------------------------------------------------
 # MerlinConfig.backend promotion (satellite)
 # ----------------------------------------------------------------------

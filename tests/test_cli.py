@@ -77,29 +77,39 @@ class TestResolveCliWorkers:
 
 
 class TestServeCommand:
-    def test_serve_wires_the_service(self, monkeypatch, tmp_path):
-        import repro.service as service_mod
+    @pytest.mark.parametrize("extra", [[], ["--async"]])
+    def test_serve_wires_the_sharded_tier(self, monkeypatch, tmp_path,
+                                          extra):
+        import repro.serve as serve_mod
+        from repro.serve import build_shard_services
 
         captured = {}
 
-        def fake_serve(host, port, service=None, verbose=False,
-                       drain_timeout_s=30.0):
-            captured.update(host=host, port=port, service=service,
-                            verbose=verbose, drain_timeout_s=drain_timeout_s)
-            service.close()
+        def fake_serve_async(host, port, **kwargs):
+            captured.update(host=host, port=port, **kwargs)
 
-        monkeypatch.setattr(service_mod, "serve", fake_serve)
+        monkeypatch.setattr(serve_mod, "serve_async", fake_serve_async)
         assert main(["serve", "--port", "9999", "--workers", "3",
                      "--preset", "test", "--job-timeout", "7.5",
                      "--cache-capacity", "11",
-                     "--cache-dir", str(tmp_path / "c")]) == 0
+                     "--cache-dir", str(tmp_path / "c")] + extra) == 0
         assert captured["host"] == "127.0.0.1"
         assert captured["port"] == 9999
-        svc = captured["service"]
-        assert svc.workers == 3
-        assert svc.job_timeout_s == 7.5
-        assert svc.cache.stats()["capacity"] == 11
-        assert svc.cache.stats()["disk_dir"] == str(tmp_path / "c")
+        assert captured["shards"] == 2
+        assert captured["queue_limit"] == 64
+        services = build_shard_services(
+            captured["shards"], cache_capacity=captured["cache_capacity"],
+            disk_dir=captured["disk_dir"],
+            service_factory=captured["service_factory"])
+        try:
+            for svc in services:
+                assert svc.workers == 3
+                assert svc.job_timeout_s == 7.5
+                assert svc.cache.stats()["capacity"] == 11
+                assert svc.cache.stats()["disk_dir"] == str(tmp_path / "c")
+        finally:
+            for svc in services:
+                svc.close()
 
     def test_serve_rejects_bad_preset(self):
         with pytest.raises(SystemExit):
