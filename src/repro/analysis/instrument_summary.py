@@ -39,8 +39,7 @@ def derived_metrics(source: Union[Recorder, Dict[str, Any], str]
       / ``kernel_span_mix_*`` — whole-run profile: where the wall-clock
       went and how far the cost converged.
     * ``service_*`` / ``serve_*`` / ``cache_flushed_entries_total`` —
-      serving-tier health: admission pressure, job latency, breaker
-      opens, supervisor probe/restart activity, brownout and drain
+      serving-tier health: admission pressure, job latency, and drain
       accounting.
     * ``pipeline_*`` — timing-closure loop health: cache leverage,
       degradation/failure fractions, rollback rate, best delay reached,
@@ -144,7 +143,7 @@ def _derive_run_metrics(rec: Recorder, counters: Dict[str, int],
 
 def _derive_serving_metrics(rec: Recorder, counters: Dict[str, int],
                             out: Dict[str, float]) -> None:
-    """Service/serving-tier health: admission, jobs, self-healing."""
+    """Service/serving-tier health: admission, jobs, drain."""
     requests = counters.get(metric.SERVICE_REQUESTS, 0)
     jobs = counters.get(metric.SERVICE_JOBS, 0)
     if requests:
@@ -161,21 +160,6 @@ def _derive_serving_metrics(rec: Recorder, counters: Dict[str, int],
     if depth is not None and depth.count:
         out["serve_queue_depth_peak"] = depth.maximum
 
-    probes = counters.get(metric.SERVE_SUPERVISOR_PROBES, 0)
-    probe_failures = counters.get(metric.SERVE_SUPERVISOR_PROBE_FAILURES, 0)
-    if probes:
-        out["serve_probe_failure_rate"] = probe_failures / probes
-    opens = counters.get(metric.SERVE_BREAKER_OPENS, 0)
-    if opens:
-        out["serve_breaker_opens_total"] = float(opens)
-        out["serve_breaker_short_circuits_total"] = float(
-            counters.get(metric.SERVE_BREAKER_SHORT_CIRCUITS, 0))
-    restarts = counters.get(metric.SERVE_SUPERVISOR_RESTARTS, 0)
-    if restarts:
-        out["serve_supervisor_restarts_total"] = float(restarts)
-    browned = counters.get(metric.SERVE_BROWNOUT_ADMITTED, 0)
-    if counters.get(metric.SERVE_BROWNOUT_ENTERED, 0) or browned:
-        out["serve_brownout_admitted_total"] = float(browned)
     refusals = counters.get(metric.SERVE_DRAIN_REFUSALS, 0)
     if refusals:
         out["serve_drain_refusals_total"] = float(refusals)

@@ -131,12 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persist results as JSON under DIR (off by "
                             "default)")
-    p_srv.add_argument("--brownout-after", type=int, default=None,
-                       metavar="N",
-                       help="after N consecutive saturated "
-                            "admissions, downgrade optimize jobs to the "
-                            "fast degraded preset instead of answering "
-                            "429 (default: off)")
     p_srv.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="S",
                        help="max seconds to wait for in-flight requests "
@@ -450,7 +444,6 @@ def _run_serve(args) -> int:
                 cache_capacity=args.cache_capacity,
                 disk_dir=args.cache_dir,
                 service_factory=service_factory,
-                brownout_after=args.brownout_after,
                 drain_timeout_s=args.drain_timeout)
     return 0
 

@@ -83,22 +83,6 @@ SERVE_ADMITTED = "serve.admitted"
 SERVE_REJECTED = "serve.rejected"
 #: Requests rerouted inline because their shard could not take them.
 SERVE_SHARD_FAILOVERS = "serve.shard.failovers"
-#: Circuit-breaker trips (closed/half-open -> open), summed over shards.
-SERVE_BREAKER_OPENS = "serve.breaker.opens"
-#: Dispatches skipped because the shard's breaker was open.
-SERVE_BREAKER_SHORT_CIRCUITS = "serve.breaker.short_circuits"
-#: Supervisor health probes dispatched (all shards).
-SERVE_SUPERVISOR_PROBES = "serve.supervisor.probes"
-#: Supervisor health probes that failed (fed the shard's breaker).
-SERVE_SUPERVISOR_PROBE_FAILURES = "serve.supervisor.probe_failures"
-#: Shard worker pools restarted by the supervisor after a breaker trip.
-SERVE_SUPERVISOR_RESTARTS = "serve.supervisor.restarts"
-#: Times sustained admission pressure flipped the front end into
-#: brownout (degrade-don't-reject) mode.
-SERVE_BROWNOUT_ENTERED = "serve.brownout.entered"
-#: Would-be-429 requests admitted as fast-preset (degraded) work while
-#: browned out.
-SERVE_BROWNOUT_ADMITTED = "serve.brownout.admitted"
 #: Requests refused with 503 because the front end was draining.
 SERVE_DRAIN_REFUSALS = "serve.drain.refusals"
 

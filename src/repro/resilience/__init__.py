@@ -26,7 +26,6 @@ from repro.resilience.degrade import (
     LADDER_RUNGS,
     LadderOutcome,
     coarsened_config,
-    run_brownout,
     run_with_ladder,
 )
 from repro.resilience.errors import (
@@ -51,11 +50,6 @@ from repro.resilience.errors import (
     classify,
     error_from_record,
 )
-from repro.resilience.supervise import (
-    BreakerConfig,
-    CircuitBreaker,
-    ShardSupervisor,
-)
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -72,7 +66,6 @@ __all__ = [
     "LADDER_RUNGS",
     "LadderOutcome",
     "coarsened_config",
-    "run_brownout",
     "run_with_ladder",
     "CATEGORIES",
     "CATEGORY_INPUT",
@@ -94,9 +87,6 @@ __all__ = [
     "WorkerCrashError",
     "classify",
     "error_from_record",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "ShardSupervisor",
     "FaultPlan",
     "FaultSpec",
     "active_fault_plan",

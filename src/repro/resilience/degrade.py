@@ -168,59 +168,6 @@ def run_with_ladder(net: Any, tech: Any, config: Any = None,
     return outcome
 
 
-def run_brownout(net: Any, tech: Any, config: Any = None,
-                 objective: Any = None,
-                 budget: Optional[ComputeBudget] = None) -> LadderOutcome:
-    """Brownout fast path: jump straight to the ``coarse_curves`` rung.
-
-    Under sustained admission pressure the serving tier downgrades jobs
-    to this preset instead of rejecting them with 429.  The answer is
-    always tagged ``degraded=True`` with a reason naming brownout, so
-    it is never cached and clients can tell they got the cheap tree.
-    Falls to ``buffered_star`` if even the coarse rung fails.
-    """
-    from repro.core.config import MerlinConfig
-    from repro.core.objective import Objective
-
-    config = config or MerlinConfig()
-    objective = objective or Objective.max_required_time()
-    if budget is not None:
-        budget.start()
-
-    rec = active_recorder()
-    attempts: List[Dict[str, Any]] = []
-    try:
-        outcome = _run_merlin(net, tech, coarsened_config(config), objective,
-                              budget, RUNG_COARSE)
-    except MerlinInputError:
-        raise
-    except BudgetExhaustedError as exc:
-        if rec.enabled:
-            rec.incr(metric.RESILIENCE_BUDGET_EXHAUSTED)
-        attempts.append({"rung": RUNG_COARSE,
-                         "error": classify(exc, stage=RUNG_COARSE).to_dict()})
-        outcome = _run_star(net, tech, objective)
-    except Exception as exc:
-        attempts.append({"rung": RUNG_COARSE,
-                         "error": classify(exc, stage=RUNG_COARSE).to_dict()})
-        outcome = _run_star(net, tech, objective)
-
-    outcome.degraded = True
-    outcome.attempts = attempts
-    reason = "brownout: admission pressure downgraded this job to the " \
-             "coarse preset"
-    if attempts:
-        reason += "; " + "; ".join(
-            f"{a['rung']}: {a['error']['message']}" for a in attempts)
-    outcome.reason = reason
-    if rec.enabled:
-        rec.incr(metric.RESILIENCE_DEGRADED)
-        rec.event(metric.EVENT_DEGRADATION,
-                  net=net.name, rung=outcome.rung,
-                  reason=outcome.reason, attempts=len(attempts))
-    return outcome
-
-
 # -- rung runners ------------------------------------------------------
 
 

@@ -39,18 +39,12 @@ class EmbeddedAsyncServer:
                  = None, shards: int = 2,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  host: str = "127.0.0.1",
-                 breaker_config: Any = None,
-                 supervise_interval_s: float = 0.25,
-                 brownout_after: Optional[int] = None,
                  **service_kwargs: Any) -> None:
         self._owns_services = services is None
         if services is None:
             services = build_shard_services(shards, **service_kwargs)
         self.server = AsyncShardedServer(
-            services, host=host, queue_limit=queue_limit,
-            breaker_config=breaker_config,
-            supervise_interval_s=supervise_interval_s,
-            brownout_after=brownout_after)
+            services, host=host, queue_limit=queue_limit)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._host = host

@@ -13,6 +13,8 @@ Architecture — one event loop, N worker-pool shards::
 * **Transport**: a deliberately small HTTP/1.1 server on
   ``asyncio.start_server`` (stdlib only, ``Connection: close``).  The
   event loop never runs engine work — it parses, routes, and awaits.
+  A header line over ``MAX_HEADER_LINE_BYTES`` or a ``Content-Length``
+  over the body cap answers **400** before any body is buffered.
 * **Admission control**: work-bearing endpoints (``optimize``,
   ``closure``) pass a bounded in-flight gate; beyond ``queue_limit``
   the request is rejected immediately with **429** + ``Retry-After``
@@ -24,31 +26,17 @@ Architecture — one event loop, N worker-pool shards::
   hash ring, so equivalent requests — renamed/translated twins
   included — always hit the same shard and its warm LRU.  Shards are
   plain :class:`OptimizationService` instances; each runs requests on
-  its own small thread pool (the threads mostly wait on the engine's
-  process pool or serve cache hits).
+  its own small thread pool (at the served default ``workers=1`` the
+  threads run the DP inline; with a warm process pool they wait on it).
 * **Tiered cache**: shard LRU (hot, per-shard) over an optional shared
   checksummed disk directory (warm, cross-shard) — pass ``disk_dir`` to
   :func:`build_shard_services`.  Keys agree byte-for-byte across tiers
   because both come from :mod:`repro.service.canonical`.
-* **Degradation**: a shard marked down by the ``serve.shard`` fault
-  site fails over to the next healthy shard on the ring (counted by
+* **Failover**: a shard marked down by the ``serve.shard`` fault site
+  fails over to the next shard on the ring (counted by
   ``serve.shard.failovers``); only when every shard is down does the
   client see a **503** ``shard_unavailable``.  The ``serve.admission``
   fault site forces 429s for chaos drills.
-* **Self-healing**: every shard sits behind a
-  :class:`~repro.resilience.supervise.CircuitBreaker` — repeated
-  failures trip it open and the ring walk skips the shard without even
-  paying a dispatch (``serve.breaker.short_circuits``) — while a
-  :class:`~repro.resilience.supervise.ShardSupervisor` task health-
-  probes every shard, feeds the same breakers, and restarts a tripped
-  shard's worker pool with jittered backoff
-  (``serve.supervisor.restarts``).  ``GET /v1/healthz`` reports the
-  per-shard breaker state; ``GET /v1/stats`` carries full snapshots.
-* **Brownout**: with ``brownout_after`` set, sustained admission
-  saturation flips the gate into brownout — would-be-429 optimize
-  requests are admitted but downgraded to the fast preset through the
-  degradation ladder (``degraded: true`` in the envelope, never
-  cached), up to a hard cap of twice the queue limit.
 * **Graceful drain**: :meth:`AsyncShardedServer.drain` (SIGTERM under
   :func:`serve_async`) finishes in-flight work, refuses new requests
   with **503** + ``Retry-After``, and flushes shard memory caches to
@@ -84,12 +72,6 @@ from repro.resilience.errors import (
     classify,
 )
 from repro.resilience.faults import fault_point
-from repro.resilience.supervise import (
-    STATE_CLOSED,
-    BreakerConfig,
-    CircuitBreaker,
-    ShardSupervisor,
-)
 from repro.service import protocol
 from repro.service.cache import ResultCache
 from repro.service.engine import OptimizationService
@@ -97,9 +79,14 @@ from repro.service.engine import OptimizationService
 #: Default bound on concurrently admitted work-bearing requests.
 DEFAULT_QUEUE_LIMIT = 64
 
-#: Default handler threads per shard (they wait on the engine's process
-#: pool or serve cache hits, so a couple is plenty).
+#: Default handler threads per shard.  At the served default
+#: ``workers=1`` a shard thread runs the DP inline, so a shard computes
+#: at most this many cold nets at once; cache hits are quick.
 DEFAULT_SHARD_THREADS = 2
+
+#: Longest request or header line the transport reads (asyncio's
+#: ``StreamReader`` limit); a longer one answers 400.
+MAX_HEADER_LINE_BYTES = 64 * 1024
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             429: "Too Many Requests", 500: "Internal Server Error",
@@ -144,10 +131,7 @@ class AsyncShardedServer:
                  host: str = "127.0.0.1", port: int = 0,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  shard_threads: int = DEFAULT_SHARD_THREADS,
-                 recorder: Optional[Recorder] = None,
-                 breaker_config: Optional[BreakerConfig] = None,
-                 supervise_interval_s: float = 0.25,
-                 brownout_after: Optional[int] = None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         from repro.serve.sharding import ConsistentHashRing
 
         if not services:
@@ -175,29 +159,14 @@ class AsyncShardedServer:
         self.recorder = recorder or Recorder()
         self._recorder_lock = Lock()  # executor threads record too
         self._server: Optional[asyncio.AbstractServer] = None
-        # Self-healing layer: one breaker per shard plus the probing /
-        # pool-restarting supervisor (started with the listener).
-        self.breakers = [
-            CircuitBreaker(breaker_config, name=f"shard-{i}")
-            for i in range(len(self.services))]
-        self.supervisor = ShardSupervisor(
-            self.breakers, probe=self._probe_shard,
-            restart=self._restart_shard,
-            interval_s=supervise_interval_s, record=self._record)
-        # Brownout: after `brownout_after` consecutive saturated
-        # admission decisions, optimize work is degraded to the fast
-        # preset instead of 429'd (None keeps classic reject-only).
-        self.brownout_after = brownout_after
-        self._pressure = 0
-        self._brownout = False
         self._draining = False
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port)
-        self.supervisor.launch()
+            self._handle_connection, self.host, self._requested_port,
+            limit=MAX_HEADER_LINE_BYTES)
 
     @property
     def port(self) -> int:
@@ -213,7 +182,6 @@ class AsyncShardedServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        await self.supervisor.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -247,59 +215,22 @@ class AsyncShardedServer:
             for service in self.services:
                 service.close()
 
-    # -- supervision -----------------------------------------------------
-
-    async def _probe_shard(self, index: int) -> None:
-        """One health probe, run on the shard's own executor so a wedged
-        pool surfaces as a probe failure.  It walks the same
-        ``serve.shard`` fault gate as real traffic (a chaos-downed shard
-        must look down to the supervisor too) plus its own
-        ``serve.supervisor.probe`` site for probe-specific drills."""
-        loop = asyncio.get_running_loop()
-
-        def _probe(service: OptimizationService) -> None:
-            fault_point("serve.supervisor.probe", key=str(index))
-            fault_point("serve.shard", key=str(index))
-            service.stats()
-
-        await loop.run_in_executor(
-            self._executors[index], _probe, self.services[index])
-
-    async def _restart_shard(self, index: int) -> None:
-        """Discard the shard's worker pool; the service rebuilds it
-        lazily on the next dispatch (``OptimizationService.close`` keeps
-        the service usable — that is the restart primitive)."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.services[index].close)
-
-    def _shard_failed(self, index: int) -> None:
-        """Feed one failure to the shard's breaker; count trips."""
-        breaker = self.breakers[index]
-        before = breaker.opens
-        breaker.record_failure()
-        if breaker.opens > before:
-            self._record(metric.SERVE_BREAKER_OPENS)
-
     # -- transport ------------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, raw = parsed
-            status, payload, headers = await self._handle_request(
-                method, path, raw)
-            blob = json.dumps(payload).encode("utf-8")
-            reason = _REASONS.get(status, "Error")
-            head = (f"HTTP/1.1 {status} {reason}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(blob)}\r\n"
-                    "Connection: close\r\n")
-            for name, value in headers:
-                head += f"{name}: {value}\r\n"
-            writer.write(head.encode("latin-1") + b"\r\n" + blob)
+            try:
+                request = await self._read_request(reader)
+            except MerlinInputError as exc:
+                response = _render(protocol.EndpointOutcome(
+                    400, None, classify(exc, stage="http")),
+                    time.perf_counter())
+            else:
+                if request is None:
+                    return
+                response = await self._handle_request(*request)
+            writer.write(response)
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
@@ -312,7 +243,11 @@ class AsyncShardedServer:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
+        """(method, path, body) of one request, or None for an empty or
+        garbled request line.  Raises :class:`MerlinInputError` for a
+        line over ``MAX_HEADER_LINE_BYTES`` or a ``Content-Length`` over
+        the body cap, before reading any body."""
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
@@ -321,7 +256,7 @@ class AsyncShardedServer:
         method, path = parts[0].upper(), parts[1]
         length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -331,17 +266,16 @@ class AsyncShardedServer:
                 except ValueError:
                     length = 0
         if length > protocol.MAX_BODY_BYTES:
-            # Refuse before buffering; the parse layer would reject it
-            # anyway but reading 8 MiB+ first invites memory pressure.
-            return method, path, b"x" * (protocol.MAX_BODY_BYTES + 1)
+            raise MerlinInputError(
+                f"request body exceeds {protocol.MAX_BODY_BYTES} bytes",
+                stage="http")
         raw = await reader.readexactly(length) if length > 0 else b""
         return method, path, raw
 
     # -- request handling ----------------------------------------------
 
-    async def _handle_request(self, method: str, path: str, raw: bytes
-                              ) -> Tuple[int, Dict[str, Any],
-                                         List[Tuple[str, str]]]:
+    async def _handle_request(self, method: str, path: str,
+                              raw: bytes) -> bytes:
         started = time.perf_counter()
         endpoint = protocol.split_path(path)
         outcome: Optional[protocol.EndpointOutcome] = None
@@ -356,14 +290,7 @@ class AsyncShardedServer:
             outcome = await self._dispatch(method, endpoint, body, path)
         self._record_series(metric.SERVE_REQUEST_LATENCY_S,
                             time.perf_counter() - started)
-        payload = protocol.envelope(
-            outcome, protocol.new_request_id(),
-            protocol.timing_ms_since(started))
-        headers: List[Tuple[str, str]] = []
-        if outcome.retry_after_s is not None:
-            headers.append(("Retry-After",
-                            str(max(1, math.ceil(outcome.retry_after_s)))))
-        return outcome.status, payload, headers
+        return _render(outcome, started)
 
     async def _dispatch(self, method: str, endpoint: Optional[str],
                         body: Any, path: str) -> protocol.EndpointOutcome:
@@ -373,7 +300,7 @@ class AsyncShardedServer:
             return protocol.EndpointOutcome(200, self._healthz_body())
         if endpoint == "stats":
             return protocol.EndpointOutcome(200, self.stats())
-        rejected, browned_out = self._admission_outcome(path, endpoint)
+        rejected = self._admission_outcome(path)
         if rejected is not None:
             return rejected
         self._in_flight += 1
@@ -384,7 +311,7 @@ class AsyncShardedServer:
                 shard = self._route_optimize(body)
                 return await self._run_on_shard(
                     shard, lambda svc: protocol.handle_optimize(
-                        svc, body, path, brownout=browned_out))
+                        svc, body, path))
             shard = self._route_closure(body)
             return await self._run_on_shard(
                 shard, lambda svc: protocol.handle_closure(svc, body, path))
@@ -392,31 +319,17 @@ class AsyncShardedServer:
             self._in_flight -= 1
 
     def _healthz_body(self) -> Dict[str, Any]:
-        """Per-shard health: overall status plus each breaker snapshot."""
-        shards = [{"index": index, "breaker": breaker.snapshot()}
-                  for index, breaker in enumerate(self.breakers)]
-        degraded = any(s["breaker"]["state"] != STATE_CLOSED
-                       for s in shards)
-        status = "draining" if self._draining else \
-            ("degraded" if degraded else "ok")
-        return {"status": status, "draining": self._draining,
-                "brownout": self._brownout, "shards": shards,
-                "supervisor": self.supervisor.stats()}
+        status = "draining" if self._draining else "ok"
+        return {"status": status, "draining": self._draining}
 
     # -- admission ------------------------------------------------------
 
-    def _admission_outcome(self, path: str, endpoint: str
-                           ) -> Tuple[Optional[protocol.EndpointOutcome],
-                                      bool]:
-        """(rejection outcome or None, admit-as-brownout flag).
-
-        Draining beats everything: new work gets 503 + ``Retry-After``.
-        Under sustained queue saturation (``brownout_after`` consecutive
-        saturated decisions) optimize requests are admitted *degraded*
-        — routed through the fast preset — up to a hard cap of twice
-        the queue limit, instead of 429'd.  Fault-injected rejections
-        stay hard 429s (chaos drills must observe rejects).
-        """
+    def _admission_outcome(self, path: str
+                           ) -> Optional[protocol.EndpointOutcome]:
+        """The rejection outcome for a work-bearing request, or None to
+        admit it.  Draining beats everything: new work gets 503 +
+        ``Retry-After``; a full queue (or an injected admission fault)
+        gets 429 + ``Retry-After``."""
         if self._draining:
             self._record(metric.SERVE_DRAIN_REFUSALS)
             record = ServerDrainingError(
@@ -424,30 +337,17 @@ class AsyncShardedServer:
                 stage="serve.drain").record
             return protocol.EndpointOutcome(
                 503, None, record,
-                retry_after_s=self._retry_after_estimate()), False
+                retry_after_s=self._retry_after_estimate())
         try:
             fault_point("serve.admission", key=path)
         except FaultInjected as exc:
             return self._reject(
-                f"admission rejected by injected fault: {exc}"), False
+                f"admission rejected by injected fault: {exc}")
         if self._in_flight < self.queue_limit:
-            self._pressure = 0
-            if self._brownout and self._in_flight <= self.queue_limit // 2:
-                self._brownout = False
-            return None, False
-        self._pressure += 1
-        if self.brownout_after is not None \
-                and self._pressure >= self.brownout_after \
-                and endpoint == "optimize":
-            if not self._brownout:
-                self._brownout = True
-                self._record(metric.SERVE_BROWNOUT_ENTERED)
-            if self._in_flight < 2 * self.queue_limit:
-                self._record(metric.SERVE_BROWNOUT_ADMITTED)
-                return None, True
+            return None
         return self._reject(
             f"request queue full ({self._in_flight} in flight, "
-            f"limit {self.queue_limit})"), False
+            f"limit {self.queue_limit})")
 
     def _reject(self, reason: str) -> protocol.EndpointOutcome:
         self._record(metric.SERVE_REJECTED)
@@ -499,39 +399,18 @@ class AsyncShardedServer:
         loop = asyncio.get_running_loop()
         for step in range(len(self.services)):
             index = (shard + step) % len(self.services)
-            breaker = self.breakers[index]
-            if not breaker.allow():
-                # Open breaker: skip the shard without paying a dispatch
-                # (the supervisor's probes, not client traffic, are what
-                # close it again).
-                self._record(metric.SERVE_BREAKER_SHORT_CIRCUITS)
-                if step == 0:
-                    self._record(metric.SERVE_SHARD_FAILOVERS)
-                continue
             try:
                 fault_point("serve.shard", key=str(index))
             except FaultInjected:
                 # Shard down: degrade to the next shard on the ring
                 # (identical answers — the engine is deterministic and
                 # the disk tier, when present, is shared).
-                self._shard_failed(index)
                 if step == 0:
                     self._record(metric.SERVE_SHARD_FAILOVERS)
                 continue
             self._record(metric.serve_shard_requests(index))
-            try:
-                outcome = await loop.run_in_executor(
-                    self._executors[index], handler, self.services[index])
-            except Exception:
-                self._shard_failed(index)
-                raise
-            # Handler outcomes feed the error-rate threshold: a 5xx is
-            # the shard failing the request, everything else is health.
-            if outcome.status >= 500:
-                self._shard_failed(index)
-            else:
-                breaker.record_success()
-            return outcome
+            return await loop.run_in_executor(
+                self._executors[index], handler, self.services[index])
         record = ShardUnavailableError(
             f"shard {shard} is down and no failover shard is available",
             stage="serve.shard").record
@@ -550,12 +429,9 @@ class AsyncShardedServer:
             "queue_limit": self.queue_limit,
             "in_flight": self._in_flight,
             "draining": self._draining,
-            "brownout": self._brownout,
             "counters": report["counters"],
             "latency": report["series"],
             "shards": [service.stats() for service in self.services],
-            "breakers": [breaker.snapshot() for breaker in self.breakers],
-            "supervisor": self.supervisor.stats(),
         }
 
     def _record(self, name: str, n: int = 1) -> None:
@@ -567,6 +443,31 @@ class AsyncShardedServer:
             self.recorder.record(name, value)
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader's way of saying "over the limit"
+        raise MerlinInputError(
+            f"request or header line exceeds {MAX_HEADER_LINE_BYTES} "
+            "bytes", stage="http") from None
+
+
+def _render(outcome: protocol.EndpointOutcome, started: float) -> bytes:
+    """The full HTTP response carrying ``outcome`` in the v1 envelope."""
+    blob = json.dumps(protocol.envelope(
+        outcome, protocol.new_request_id(),
+        protocol.timing_ms_since(started))).encode("utf-8")
+    head = (f"HTTP/1.1 {outcome.status} "
+            f"{_REASONS.get(outcome.status, 'Error')}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(blob)}\r\n"
+            "Connection: close\r\n")
+    if outcome.retry_after_s is not None:
+        retry_after = max(1, math.ceil(outcome.retry_after_s))
+        head += f"Retry-After: {retry_after}\r\n"
+    return head.encode("latin-1") + b"\r\n" + blob
+
+
 def serve_async(host: str, port: int,
                 services: Optional[Sequence[OptimizationService]] = None,
                 shards: int = 2,
@@ -576,7 +477,6 @@ def serve_async(host: str, port: int,
                 service_factory: Optional[Callable[[ResultCache],
                                                    OptimizationService]]
                 = None,
-                brownout_after: Optional[int] = None,
                 drain_timeout_s: float = 30.0,
                 **service_kwargs: Any) -> None:
     """Blocking entry point behind ``merlin-repro serve``.
@@ -591,8 +491,7 @@ def serve_async(host: str, port: int,
             shards, cache_capacity=cache_capacity, disk_dir=disk_dir,
             service_factory=service_factory, **service_kwargs)
     server = AsyncShardedServer(services, host=host, port=port,
-                                queue_limit=queue_limit,
-                                brownout_after=brownout_after)
+                                queue_limit=queue_limit)
 
     async def _main() -> None:
         await server.start()

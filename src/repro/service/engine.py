@@ -67,7 +67,7 @@ from repro.instrument import Recorder
 from repro.instrument import names as metric
 from repro.net import Net
 from repro.resilience.budget import ComputeBudget
-from repro.resilience.degrade import run_brownout, run_with_ladder
+from repro.resilience.degrade import run_with_ladder
 from repro.resilience.errors import (
     ErrorRecord,
     JobTimeoutError,
@@ -107,8 +107,6 @@ class _Job:
     objective: Objective
     budget_ops: Optional[int] = None
     deadline_s: Optional[float] = None
-    #: Brownout job: skip the ladder, run the coarse preset directly.
-    brownout: bool = False
 
 
 def _run_job(job: _Job) -> Dict[str, Any]:
@@ -127,12 +125,8 @@ def _run_job(job: _Job) -> Dict[str, Any]:
     if job.budget_ops is not None or job.deadline_s is not None:
         budget = ComputeBudget(max_ops=job.budget_ops,
                                deadline_s=job.deadline_s)
-    if job.brownout:
-        outcome = run_brownout(job.net, job.tech, config=job.config,
-                               objective=job.objective, budget=budget)
-    else:
-        outcome = run_with_ladder(job.net, job.tech, config=job.config,
-                                  objective=job.objective, budget=budget)
+    outcome = run_with_ladder(job.net, job.tech, config=job.config,
+                              objective=job.objective, budget=budget)
     evaluation = evaluate_tree(outcome.tree, job.tech)
     payload: Dict[str, Any] = {
         "source": [job.net.source.x, job.net.source.y],
@@ -354,19 +348,17 @@ class OptimizationService:
 
     def optimize(self, net: Net,
                  timeout_s: Optional[float] = None,
-                 objective: Optional[Objective] = None,
-                 brownout: bool = False) -> ServiceResult:
+                 objective: Optional[Objective] = None) -> ServiceResult:
         """Optimize one net (cache-aware); single-net :meth:`optimize_many`."""
         objectives = [objective] if objective is not None else None
         return self.optimize_many([net], timeout_s=timeout_s,
-                                  objectives=objectives,
-                                  brownout=brownout)[0]
+                                  objectives=objectives)[0]
 
     def optimize_many(self, nets: Sequence[Net],
                       timeout_s: Optional[float] = None,
                       objectives: Optional[
-                          Sequence[Optional[Objective]]] = None,
-                      brownout: bool = False) -> List[ServiceResult]:
+                          Sequence[Optional[Objective]]] = None
+                      ) -> List[ServiceResult]:
         """Optimize ``nets``; returns one result per net, in order.
 
         ``timeout_s`` (default: the service's ``job_timeout_s``) bounds
@@ -378,12 +370,6 @@ class OptimizationService:
         key, so per-job overrides never poison cached answers computed
         under a different selection rule — the timing-closure pipeline
         relies on this to pass each net its own required-time floor.
-
-        ``brownout`` marks load-shed jobs from the serving tier: misses
-        skip the degradation ladder and run the coarse preset directly.
-        Full-quality cache hits are still served (a hit is cheaper than
-        even the coarse DP) and brownout answers — being degraded — are
-        never written back to the cache.
         """
         nets = list(nets)
         if objectives is None:
@@ -431,7 +417,7 @@ class OptimizationService:
 
         if misses:
             self._run_misses(nets, misses, keys, started, results, timeout_s,
-                             job_objectives, brownout=brownout)
+                             job_objectives)
         for i in duplicates:
             self._resolve_duplicate(nets[i], i, keys, started, results)
 
@@ -465,24 +451,20 @@ class OptimizationService:
     # -- miss execution -------------------------------------------------
 
     def _make_job(self, net: Net,
-                  objective: Optional[Objective] = None,
-                  brownout: bool = False) -> _Job:
+                  objective: Optional[Objective] = None) -> _Job:
         return _Job(net=net, tech=self.tech, config=self.config,
                     objective=objective if objective is not None
                     else self.objective,
                     budget_ops=self.budget_ops,
-                    deadline_s=self.deadline_s,
-                    brownout=brownout)
+                    deadline_s=self.deadline_s)
 
     def _run_misses(self, nets: Sequence[Net], misses: List[int],
                     keys: List[Optional[str]], started: List[float],
                     results: List[Optional[ServiceResult]],
                     timeout_s: Optional[float],
-                    objectives: Optional[Sequence[Objective]] = None,
-                    brownout: bool = False) -> None:
+                    objectives: Optional[Sequence[Objective]] = None) -> None:
         jobs = {i: self._make_job(
-            nets[i], objectives[i] if objectives is not None else None,
-            brownout=brownout)
+            nets[i], objectives[i] if objectives is not None else None)
             for i in misses}
         if (len(misses) == 1 and timeout_s is None
                 and self._pool is None):

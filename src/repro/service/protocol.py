@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 import threading
@@ -197,15 +198,9 @@ def _prefixed(record: ErrorRecord, prefix: str) -> ErrorRecord:
 
 
 def handle_optimize(service: Any, body: Any,
-                    path: str = "/v1/optimize",
-                    brownout: bool = False) -> EndpointOutcome:
-    """``POST optimize``: one net through the shared service.
-
-    ``brownout=True`` (set by the async front end under sustained
-    admission pressure) downgrades the job to the fast coarse preset
-    via the degradation ladder instead of running at full quality — the
-    answer is tagged ``degraded`` and never cached.
-    """
+                    path: str = "/v1/optimize") -> EndpointOutcome:
+    """``POST optimize``: one net (plus an optional ``timeout_s``)
+    through the shared service."""
     service._record(metric.service_endpoint_requests("optimize"))
     try:
         fault_point("service.http", key=path)
@@ -223,7 +218,15 @@ def handle_optimize(service: Any, body: Any,
             400, None,
             _prefixed(classify(exc, stage="net"), "invalid net payload"))
     timeout_s = body.get("timeout_s") if isinstance(body, dict) else None
-    result = service.optimize(net, timeout_s=timeout_s, brownout=brownout)
+    if timeout_s is not None and (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))
+            or not 0 < timeout_s < math.inf):
+        service._record(metric.SERVICE_ERRORS)
+        return EndpointOutcome(400, None, MerlinInputError(
+            "timeout_s must be null or a finite number > 0, got "
+            f"{timeout_s!r}", stage="http").record)
+    result = service.optimize(net, timeout_s=timeout_s)
     if result.ok:
         return EndpointOutcome(200, result.to_dict(),
                                degraded=result.degraded)

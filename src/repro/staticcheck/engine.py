@@ -12,9 +12,9 @@ The driver runs in two phases:
   incremental cache (:mod:`repro.staticcheck.cache`) replays the file's
   stored :class:`~repro.staticcheck.facts.FileFacts` and pre-computed
   per-module findings without re-parsing.  Misses are parsed and
-  analyzed in a thread pool; every registered module rule runs on a
-  miss (not just the selected ones) so a later narrowed run still hits
-  the cache.
+  analyzed serially; every registered module rule runs on a miss (not
+  just the selected ones) so a later narrowed run still hits the
+  cache.
 * **Phase 2** — project rules run over the merged fact base, then the
   engine-level passes: ``SUP-UNUSED`` (suppression comments that no
   longer suppress anything) and the ratchet baseline filter

@@ -5,6 +5,7 @@ affinity."""
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -13,6 +14,13 @@ import pytest
 from tests.conftest import build_net
 from repro.client import MerlinClient, RetryPolicy
 from repro.core.config import MerlinConfig
+from repro.loadgen import (
+    WorkloadSpec,
+    check_equivalence,
+    compare_signature_maps,
+    generate_workload,
+    run_workload,
+)
 from repro.net import net_to_dict
 from repro.resilience.errors import MerlinInputError
 from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
@@ -21,6 +29,7 @@ from repro.routing.validate import validate_tree
 from repro.serve import AsyncShardedServer, build_shard_services
 from repro.serve.embedded import EmbeddedAsyncServer
 from repro.service import OptimizationService, ResultCache
+from repro.service.protocol import MAX_BODY_BYTES
 from repro.tech.technology import default_technology
 
 TECH = default_technology()
@@ -82,7 +91,7 @@ def test_v1_optimize_round_trip_and_envelope(server):
     client = _no_retry_client(server)
     net = build_net(3, seed=31)
     response = client.request("POST", "/v1/optimize",
-                              {"net": net_to_dict(net)})
+                              {"net": net_to_dict(net), "timeout_s": 30})
     assert response.status == 200 and response.ok
     body = response.body
     _assert_envelope(body)
@@ -149,18 +158,65 @@ def test_probes_bypass_admission_and_stats_reports_the_tier(server):
     assert all("cache" in shard for shard in stats["shards"])
 
 
+_GOOD_NET = net_to_dict(build_net(2, seed=18))
+
+
 def test_bad_inputs_produce_the_v1_error_envelope(server):
     client = _no_retry_client(server)
-    response = client.request("POST", "/v1/optimize",
-                              {"net": {"name": "broken"}})
-    assert response.status == 400
-    _assert_envelope(response.body)
-    error = response.error
-    assert set(error) == {"category", "code", "message", "detail"}
-    assert error["code"] == "malformed_net"
-    assert error["detail"]["kind"] == "MalformedNetError"
-    record = response.error_record()
-    assert record is not None and record.category == "input"
+    bad_timeout = ("MerlinInputError", "merlin_input", "timeout_s")
+    for body, (kind, code, message) in (
+        ({"net": {"name": "broken"}},
+         ("MalformedNetError", "malformed_net", "invalid net payload")),
+        ({"net": _GOOD_NET, "timeout_s": "abc"}, bad_timeout),
+        ({"net": _GOOD_NET, "timeout_s": -1}, bad_timeout),
+        ({"net": _GOOD_NET, "timeout_s": 0}, bad_timeout),
+        ({"net": _GOOD_NET, "timeout_s": True}, bad_timeout),
+        ({"net": _GOOD_NET, "timeout_s": [5]}, bad_timeout),
+    ):
+        response = client.request("POST", "/v1/optimize", body)
+        assert response.status == 400, body
+        _assert_envelope(response.body)
+        error = response.error
+        assert set(error) == {"category", "code", "message", "detail"}
+        assert error["code"] == code
+        assert error["detail"]["kind"] == kind
+        assert message in error["message"]
+        record = response.error_record()
+        assert record is not None and record.category == "input"
+
+
+def _raw_exchange(server, request):
+    """Send raw request bytes; return (status, envelope) of the reply."""
+    with socket.create_connection(("127.0.0.1", server.server.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, blob = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1]) if head else None
+    return status, (json.loads(blob) if blob else None)
+
+
+@pytest.mark.parametrize("request_bytes, message", [
+    (b"POST /v1/optimize HTTP/1.1\r\nX-Padding: " + b"a" * 70_000
+     + b"\r\n\r\n", "line exceeds"),
+    (b"POST /v1/optimize HTTP/1.1\r\nContent-Length: "
+     + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n", "body exceeds"),
+], ids=["header-line-over-limit", "content-length-over-limit"])
+def test_oversized_transport_input_is_a_v1_400(server, request_bytes,
+                                               message):
+    status, body = _raw_exchange(server, request_bytes)
+    assert status == 400
+    _assert_envelope(body)
+    assert body["error"]["category"] == "input"
+    assert body["error"]["detail"]["stage"] == "http"
+    assert message in body["error"]["message"]
+    # The connection handler survived: the next request is served.
+    assert _no_retry_client(server).healthz() is True
 
 
 def test_unparseable_bodies_are_400(server):
@@ -392,6 +448,48 @@ def test_downed_shard_fails_over_to_the_next_on_the_ring(server):
     assert counters.get("serve.shard.0.requests", 0) == 0
     assert counters["serve.shard.1.requests"] == len(nets)
     assert counters.get("serve.shard.failovers", 0) >= 1
+
+
+#: The replay behind the failover proof: twins and repeats, so every
+#: equivalence class is answered by several requests.
+REPLAY = WorkloadSpec(requests=64, distinct_nets=4, min_sinks=2,
+                      max_sinks=3, seed=11, twin_fraction=0.25,
+                      repeat_fraction=0.4)
+
+
+@pytest.fixture(scope="module")
+def fault_free_replay():
+    workload = generate_workload(REPLAY)
+    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as clean_server:
+        clean = run_workload(clean_server.base_url, workload,
+                             concurrency=4)
+    assert clean.counts()["ok"] == len(workload)
+    return workload, clean
+
+
+@pytest.mark.parametrize("times", [6, None], ids=["burst", "permanent"])
+def test_shard_crash_mid_replay_is_invisible(fault_free_replay, times):
+    workload, clean = fault_free_replay
+    plan = FaultPlan(seed=5, specs=(
+        FaultSpec(site="serve.shard", kind="error", match="0",
+                  times=times),))
+    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as server:
+        with use_fault_plan(plan):
+            chaotic = run_workload(server.base_url, workload,
+                                   concurrency=4)
+        failovers = server.server.stats()["counters"].get(
+            "serve.shard.failovers", 0)
+
+    # The fault fired, yet no client saw it: every answer is ok and
+    # byte-identical to the fault-free replay (failover shards share the
+    # deterministic engine, so which shard answered cannot matter).
+    assert failovers >= 1
+    counts = chaotic.counts()
+    assert counts["ok"] == counts["requests"] == len(workload)
+    assert check_equivalence(workload, chaotic) == []
+    assert compare_signature_maps(clean.signature_map(),
+                                  chaotic.signature_map()) == []
+    assert set(clean.signature_map()) == set(chaotic.signature_map())
 
 
 def test_all_shards_down_is_a_structured_503(server):
