@@ -63,8 +63,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_net.add_argument("--backend", choices=["python", "numpy"],
                        default=None,
                        help="curve-kernel backend override (default: the "
-                            "config's backend, i.e. python; numpy degrades "
-                            "to python when NumPy is unavailable)")
+                            "config's backend, i.e. numpy when NumPy "
+                            "imports, else python; numpy degrades to "
+                            "python when NumPy is unavailable)")
     p_net.add_argument("--multi-start", type=int, default=0, metavar="K",
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "

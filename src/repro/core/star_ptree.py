@@ -23,9 +23,10 @@ The recursion follows the paper:
 This module is the library's hottest code path, but it no longer owns
 the inner loops: every curve operation goes through the registered
 :class:`repro.curves.contract.CurveKernel` backend selected by
-``CurveConfig.backend`` — scalar ``SolutionCurve`` loops
-(:mod:`repro.curves.backend_python`) or deferred structure-of-arrays
-blocks (:mod:`repro.curves.backend_numpy`), bit-identical by contract.
+``CurveConfig.backend`` — batched kernels over deferred live curves
+(:mod:`repro.curves.backend_numpy`, the default whenever NumPy imports)
+or scalar ``SolutionCurve`` loops (:mod:`repro.curves.backend_python`),
+bit-identical by contract.
 What stays here is the DP structure and the per-net precomputation:
 tables indexed by candidate *index*, wire resistances/capacitances
 between candidates precomputed, per-buffer delays precomputed as affine
@@ -51,8 +52,8 @@ from repro.units import fzero
 
 #: A leaf's base solutions, indexed by candidate index.  Each entry is a
 #: frozen curve block in the active kernel's format: a plain list
-#: (python backend) or a deferred
-#: :class:`repro.curves.kernels.CurveSoA` block (numpy backend).
+#: (python backend) or a :class:`repro.curves.kernels.CurveSoA` block
+#: (numpy backend).
 LeafCurves = List[Sequence[Solution]]
 
 #: Backwards-compatible alias (the tuple layout moved to the contract).
@@ -129,17 +130,13 @@ class PTreeContext:
         """Freeze live curves into per-candidate frozen blocks.
 
         The python backend freezes to plain solution lists; the numpy
-        backend to deferred :class:`~repro.curves.kernels.CurveSoA`
-        blocks — no :class:`Solution` is constructed, and the attribute
-        vectors are built lazily and reused by every later join.
+        backend to :class:`~repro.curves.kernels.CurveSoA` blocks, lists
+        of the materialized survivors.  One memo serves the whole group,
+        since relocated entries point into sibling curves.
         """
         kernel = self.kernel
-        return [kernel.freeze(curve) for curve in curves]
-
-    def traceback_curves(self, blocks: LeafCurves) -> List[List[Solution]]:
-        """Materialize frozen blocks into plain solution lists."""
-        kernel = self.kernel
-        return [kernel.traceback(block) for block in blocks]
+        memo: dict = {}
+        return [kernel.freeze(curve, memo) for curve in curves]
 
     def thaw_curves(self, curves) -> List[SolutionCurve]:
         """Hand live curves back to backend-agnostic callers.

@@ -3,17 +3,18 @@
 Binds the batched kernels of :mod:`repro.curves.kernels` to the
 :class:`~repro.curves.contract.CurveKernel` contract.  Live curves are
 :class:`~repro.curves.kernels.PendingCurve` (bucket maps of deferred
-entry tuples), frozen blocks are :class:`~repro.curves.kernels.CurveSoA`
-— still deferred, so the whole Γ table is built without constructing a
-single :class:`~repro.curves.solution.Solution`; materialization happens
-only in :meth:`traceback` / :meth:`thaw`.  Registered only when NumPy
-imported; :func:`repro.curves.contract.get_kernel` degrades ``"numpy"``
-to ``"python"`` otherwise.
+entry tuples, so candidates that lose a bucket or the prune never
+become a :class:`~repro.curves.solution.Solution`); frozen blocks are
+:class:`~repro.curves.kernels.CurveSoA` — lists of the survivors,
+materialized at :meth:`freeze`, whose attribute columns the batched
+kernels build per use.  Registered only when NumPy imported;
+:func:`repro.curves.contract.get_kernel` degrades ``"numpy"`` to
+``"python"`` otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Optional, Sequence
 
 from repro.curves import kernels
 from repro.curves.contract import (
@@ -23,7 +24,6 @@ from repro.curves.contract import (
     register_kernel,
 )
 from repro.curves.curve import CurveConfig, SolutionCurve
-from repro.curves.solution import Solution
 from repro.geometry.point import Point
 
 
@@ -95,11 +95,9 @@ if kernels.numpy_available():
         def prune(self, curve: kernels.PendingCurve) -> None:
             curve.prune()
 
-        def freeze(self, curve: kernels.PendingCurve) -> kernels.CurveSoA:
-            return curve.freeze()
-
-        def traceback(self, block: kernels.CurveSoA) -> List[Solution]:
-            return block.sols
+        def freeze(self, curve: kernels.PendingCurve,
+                   memo: Optional[dict] = None) -> kernels.CurveSoA:
+            return curve.freeze(memo)
 
         def thaw(self, curve: kernels.PendingCurve) -> SolutionCurve:
             return curve.to_solution_curve()

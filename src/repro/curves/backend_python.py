@@ -186,11 +186,9 @@ class PythonKernel(CurveKernel):
     def prune(self, curve: SolutionCurve) -> None:
         curve.prune()
 
-    def freeze(self, curve: SolutionCurve) -> List[Solution]:
+    def freeze(self, curve: SolutionCurve,
+               memo: Optional[dict] = None) -> List[Solution]:
         return curve.solutions
-
-    def traceback(self, block) -> List[Solution]:
-        return list(block)
 
     def thaw(self, curve: SolutionCurve) -> SolutionCurve:
         return curve

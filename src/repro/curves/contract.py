@@ -14,10 +14,11 @@ solution-curve blocks:
 ``relocate_round``
     one relaxation pass of ``S(p) = min{d(p,p') + S(p')}`` over the
     candidate set;
-``prune`` / ``freeze`` / ``traceback`` / ``thaw``
-    cull dominated entries, snapshot a live curve into the frozen block
-    format, and materialize :class:`~repro.curves.solution.Solution`
-    objects out of a block (traceback) or a live curve (thaw).
+``prune`` / ``freeze`` / ``thaw``
+    cull dominated entries, snapshot a live curve into a frozen block —
+    its surviving :class:`~repro.curves.solution.Solution` objects in
+    curve order, on every backend — and hand a live curve to
+    backend-agnostic callers as a :class:`SolutionCurve` (thaw).
 
 This module pins that interface as :class:`CurveKernel` and keeps a
 registry of implementations, mirroring how staticcheck rules register:
@@ -26,8 +27,9 @@ each backend module defines a subclass decorated with
 creation.  Two backends ship — ``"python"``
 (:mod:`repro.curves.backend_python`, scalar loops over
 :class:`~repro.curves.curve.SolutionCurve`) and ``"numpy"``
-(:mod:`repro.curves.backend_numpy`, deferred structure-of-arrays blocks
-from :mod:`repro.curves.kernels`) — and are bit-identical by contract:
+(:mod:`repro.curves.backend_numpy`, deferred live curves and
+structure-of-arrays blocks from :mod:`repro.curves.kernels`, the default
+whenever NumPy imports) — and are bit-identical by contract:
 the golden suites and ``bench check_suite`` pin equal tree signatures.
 A native or GPU backend is a third registration away; engine layers
 (``core``, ``routing``, ``service``, ``pipeline``) never see
@@ -53,7 +55,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.kernels import BACKENDS, numpy_available, resolve_backend
-from repro.curves.solution import Solution
 from repro.geometry.point import Point
 from repro.tech.buffer import Buffer
 
@@ -117,8 +118,8 @@ class CurveKernel:
     live-curve type; ``Block`` its frozen-curve type.  Both must satisfy
     the small structural protocol the engine relies on: live curves
     expose ``add`` / ``extend`` / ``prune`` / ``solutions`` / ``root``
-    and iterate their survivors; frozen blocks expose ``len`` and
-    iterate materialized solutions.
+    and iterate their survivors; frozen blocks are ``Solution`` lists
+    in curve order (ascending ``(load, -required_time, area)``).
     """
 
     #: Registry name; also the ``CurveConfig.backend`` value it serves.
@@ -170,12 +171,14 @@ class CurveKernel:
         """Cull 3-D dominated entries and enforce the capacity cap."""
         raise NotImplementedError
 
-    def freeze(self, curve):
-        """Snapshot a (pruned) live curve into the frozen block format."""
-        raise NotImplementedError
+    def freeze(self, curve, memo: Optional[dict] = None):
+        """Snapshot a (pruned) live curve into the frozen block format.
 
-    def traceback(self, block) -> List[Solution]:
-        """Materialize a frozen block's solutions (curve order)."""
+        Curves frozen together pass one ``memo`` (a fresh dict the
+        caller owns for the whole group), so a backend whose live
+        entries point into sibling curves materializes each shared
+        source once; None uses a private memo.
+        """
         raise NotImplementedError
 
     def thaw(self, curve) -> SolutionCurve:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.curves import kernels
@@ -28,17 +28,19 @@ class CurveConfig:
     the three extreme points (best required time, min load, min area) are
     always retained, so both objective variants keep their optima.
 
-    ``backend`` selects the curve-kernel implementation: ``"python"``
-    (default, dependency-free) or ``"numpy"`` (vectorized structure-of-
-    arrays kernels, bit-identical results; see
-    :mod:`repro.curves.kernels`).  Requesting ``"numpy"`` without NumPy
-    installed degrades gracefully to ``"python"``.
+    ``backend`` selects the curve-kernel implementation: ``"numpy"``
+    (vectorized structure-of-arrays kernels; the default whenever NumPy
+    imports) or ``"python"`` (dependency-free scalar loops; the default
+    otherwise, and the reference the numpy kernels must match).  Results
+    are bit-identical either way (see :mod:`repro.curves.kernels`).
+    Requesting ``"numpy"`` without NumPy installed degrades gracefully to
+    ``"python"``.
     """
 
     load_step: float = 1.0
     area_step: float = 30.0
     max_solutions: int = 64
-    backend: str = "python"
+    backend: str = field(default_factory=kernels.default_backend)
 
     def __post_init__(self) -> None:
         if self.load_step <= 0 or self.area_step <= 0:
@@ -155,9 +157,7 @@ class SolutionCurve:
         """
         if (self._numpy and isinstance(solutions, kernels.CurveSoA)
                 and len(solutions) >= kernels.EXTEND_MIN_ITEMS):
-            return kernels.batch_insert(
-                self, solutions.loads, solutions.reqs, solutions.areas,
-                solutions.resolve_row)
+            return kernels.batch_insert(self, solutions)
         return sum(1 for s in solutions if self.add(s))
 
     def prune(self) -> None:

@@ -13,13 +13,12 @@ DP.  That split is what this module exploits:
   describes the batch that produced the entry and ``i`` is its flat
   position inside that batch.  No :class:`Solution` (or its detail
   record) is constructed while candidates are generated and culled;
-* frozen curves are :class:`CurveSoA` blocks: the surviving entries in
-  curve order, with the three attribute vectors built lazily.  Freezing
-  does **not** materialize solutions — a frozen block's entries keep
-  their contexts, and parents reference the block itself, so the whole
-  Γ table is built end-to-end over entry blocks.  Solutions exist only
-  after :func:`resolve_entry` walks an entry's context chain at
-  *traceback* time (the final curve, or an explicit thaw);
+* frozen curves are :class:`CurveSoA` blocks: the survivors, resolved
+  into solutions by :func:`resolve_entry` at freeze time, whose three
+  attribute columns are built when a batched kernel needs them.  Only
+  survivors are ever materialized, and a frozen block keeps neither the
+  entries nor the batch contexts they pointed into, so the Γ, range and
+  sink memos hold about what the python backend's solution lists hold;
 * candidate triples are produced by whole-array arithmetic, and bucket
   acceptance for a whole batch is resolved at once by a grouped arg-max
   (:func:`_winner_stream`).
@@ -62,9 +61,11 @@ fingerprints, which requires exact — not approximate — equivalence:
 
 Availability
 ------------
-NumPy is an optional extra (``pip install repro[fast]``).  When it is
-missing, requesting the ``"numpy"`` backend degrades to ``"python"`` with
-a single logged event — never an ImportError.
+NumPy is an optional extra (``pip install repro[fast]``).  The default
+backend is ``"numpy"`` whenever NumPy imports and ``"python"`` otherwise
+(:func:`default_backend`); an explicit ``"numpy"`` request without NumPy
+degrades to ``"python"`` with a single logged event — never an
+ImportError.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from itertools import repeat
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.curves.solution import Buffered, Extend, Join, Solution
 from repro.instrument import names as metric
@@ -109,6 +110,13 @@ def numpy_available() -> bool:
     return _np is not None
 
 
+def default_backend() -> str:
+    """The backend a :class:`~repro.curves.curve.CurveConfig` gets when
+    none is named: ``"numpy"`` whenever NumPy imports, else ``"python"``
+    (so the default never triggers the fallback warning)."""
+    return "numpy" if _np is not None else "python"
+
+
 def resolve_backend(requested: str) -> str:
     """Map a requested backend name to the one that will actually run.
 
@@ -136,104 +144,25 @@ def _entry_order(t) -> Tuple[float, float, float]:
     return (t[0], -t[1], t[2])
 
 
-class CurveSoA:
-    """A frozen curve as structure-of-arrays over pending entries.
+class CurveSoA(list):
+    """A frozen curve: its materialized survivors, in curve order.
 
-    ``entries`` is the canonical column: the surviving pending tuples in
-    curve order (ascending ``(load, -required_time, area)``).  The three
-    attribute vectors are built lazily on first access; the *solution*
-    column is built even later — ``sols``/iteration/indexing materialize
-    the traceback on demand via :func:`resolve_entry`, so a block whose
-    entries never reach the final curve never constructs a
-    :class:`Solution` at all.  A ``CurveSoA`` can stand in anywhere the
-    engine consumes a frozen ``List[Solution]``.
+    A plain :class:`Solution` list (ascending ``(load, -required_time,
+    area)``), so it stands in anywhere the engine consumes a frozen
+    ``List[Solution]`` and costs what the python backend's frozen lists
+    cost.  The attribute columns the batched joins and merges broadcast
+    over come from :meth:`columns`, built per use: rebuilding a column
+    set costs microseconds, while caching one on every memoized block
+    held ~0.8 MiB near the memory peak of a 5-sink net.
     """
 
-    __slots__ = ("entries", "_sols", "_resolved", "_loads", "_reqs",
-                 "_areas")
+    __slots__ = ()
 
-    def __init__(self, sols: Optional[Sequence[Solution]] = None,
-                 entries: Optional[list] = None):
-        if entries is None:
-            sol_list = list(sols) if sols is not None else []
-            self.entries = [(s.load, s.required_time, s.area, None, s)
-                            for s in sol_list]
-            self._sols: Optional[List[Solution]] = sol_list
-        else:
-            self.entries = entries
-            self._sols = None
-        #: Per-row materialization cache (deferred blocks only).
-        self._resolved: dict = {}
-        self._loads = None
-        self._reqs = None
-        self._areas = None
-
-    def _build(self) -> None:
-        flat = [x for t in self.entries for x in (t[0], t[1], t[2])]
-        matrix = _np.array(flat, dtype=_np.float64).reshape(
-            len(self.entries), 3)
-        self._loads = _np.ascontiguousarray(matrix[:, 0])
-        self._reqs = _np.ascontiguousarray(matrix[:, 1])
-        self._areas = _np.ascontiguousarray(matrix[:, 2])
-
-    @property
-    def loads(self):
-        if self._loads is None:
-            self._build()
-        return self._loads
-
-    @property
-    def reqs(self):
-        if self._reqs is None:
-            self._build()
-        return self._reqs
-
-    @property
-    def areas(self):
-        if self._areas is None:
-            self._build()
-        return self._areas
-
-    def resolve_row(self, i: int) -> Solution:
-        """Materialize (and cache) the solution at row ``i``."""
-        sols = self._sols
-        if sols is not None:
-            return sols[i]
-        cache = self._resolved
-        sol = cache.get(i)
-        if sol is None:
-            sol = resolve_entry(self.entries[i], {})
-            cache[i] = sol
-        return sol
-
-    @property
-    def sols(self) -> List[Solution]:
-        """The fully materialized solution column (the traceback)."""
-        sols = self._sols
-        if sols is None:
-            memo: dict = {}
-            cache = self._resolved
-            sols = []
-            for i, t in enumerate(self.entries):
-                sol = cache.get(i)
-                if sol is None:
-                    sol = resolve_entry(t, memo)
-                    cache[i] = sol
-                sols.append(sol)
-            self._sols = sols
-        return sols
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.sols)
-
-    def __getitem__(self, index):
-        return self.sols[index]
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
+    def columns(self):
+        """The ``(3, n)`` float64 rows: loads, required times, areas."""
+        return _np.array([[s.load for s in self],
+                          [s.required_time for s in self],
+                          [s.area for s in self]], dtype=_np.float64)
 
 
 def as_soa(solutions) -> CurveSoA:
@@ -380,27 +309,25 @@ def _merge_entries(curve, keys, entries) -> int:
     return stored
 
 
-def batch_insert(curve, loads, reqs, areas,
-                 make_solution: Callable[[int], Solution]) -> int:
-    """Insert a candidate stream into a :class:`SolutionCurve` at once.
+def batch_insert(curve, block: CurveSoA) -> int:
+    """Insert a frozen block into a :class:`SolutionCurve` at once.
 
-    ``make_solution(i)`` materializes the solution for stream position
-    ``i`` and is called only for per-bucket winners that beat the curve's
-    incumbent (or open a new bucket).  Returns the number of solutions
-    stored — non-zero exactly when the scalar loop would have had at
-    least one successful ``accept_key``.
+    Only per-bucket winners that beat the curve's incumbent (or open a
+    new bucket) are stored.  Returns the number of solutions stored —
+    non-zero exactly when the scalar loop would have had at least one
+    successful ``accept_key``.
     """
-    if len(loads) == 0:
+    if not block:
         return 0
     stream = _winner_stream(curve._inv_load, curve._inv_area,
-                            loads, reqs, areas)
+                            *block.columns())
     by_bucket = curve._by_bucket
     stored = 0
     for w, key_l, key_a, _load, req, _area in zip(*stream):
         key = (key_l, key_a)
         incumbent = by_bucket.get(key)
         if incumbent is None or incumbent.required_time < req:
-            by_bucket[key] = make_solution(w)
+            by_bucket[key] = block[w]
             stored += 1
     if stored:
         curve._pruned = False
@@ -415,145 +342,96 @@ def batch_insert(curve, loads, reqs, areas,
 # is None when ``i`` already is the materialized Solution; otherwise it
 # is one of:
 #
-#   ("join", root, left_block, right_block, nb)
-#       flat i -> Join(left_block[i // nb], right_block[i % nb])
+#   ("join", root, lefts, rights, nb)
+#       flat i -> Join(lefts[i // nb], rights[i % nb])
 #   ("buf", root, sources, buffer_params)
 #       flat i -> Buffered(resolve(sources[i // m]), buffer i % m)
 #   ("ext1", root, src, length, width)
 #       the moved solution of one scalar relocation offer
 #   ("buf1", root, src, buffer)
 #       a buffer driving one already-described source (scalar relocation)
-#   ("reloc", root, starts, blocks, opts, flat_loads, flat_reqs,
+#   ("reloc", root, starts, blocks, opts, moved_loads, moved_reqs,
 #    buffer_params)
-#       flat i -> the unbuffered moved solution, or a buffer driving it
-#       (the moved triple is recovered from row i's column 0)
+#       flat i -> row i // opts of the stream: option 0 is the
+#       unbuffered moved solution, option j a buffer driving it
 #
-# Sources inside a context may be Solutions, other pending entries, or
-# rows of other frozen blocks — freezing no longer materializes, so
-# chains span the whole DP.  Resolution therefore runs on an explicit
-# stack (no recursion limit) with an ``id()``-keyed memo plus per-block
-# row caches, so shared sub-structures materialize once.
-
-def _src_solution(src, memo):
-    """Resolved solution for a context source, or None if not yet done."""
-    if isinstance(src, Solution):
-        return src
-    if src[3] is None:
-        return src[4]
-    return memo.get(id(src))
-
-
-def _block_row(block: CurveSoA, i: int, memo):
-    """Resolved solution for a block row, or None if not yet done."""
-    sols = block._sols
-    if sols is not None:
-        return sols[i]
-    cache = block._resolved
-    sol = cache.get(i)
-    if sol is not None:
-        return sol
-    t = block.entries[i]
-    if t[3] is None:
-        sol = t[4]
-    else:
-        sol = memo.get(id(t))
-        if sol is None:
-            return None
-    cache[i] = sol
-    return sol
-
+# Sources inside a context are Solutions (frozen blocks and sink pins
+# are materialized) or entries of the same live curves — the curve's
+# own, or a sibling's for relocation.  Chains therefore end within one
+# group of curves frozen together, and ``PendingCurve.freeze`` resolves
+# that group with one shared ``id()``-keyed memo.
 
 def resolve_entry(entry, memo: dict) -> Solution:
     """Materialize a pending entry into a :class:`Solution`.
 
-    Iterative (explicit work stack): context chains now span the whole
-    DP — a parent block's join references child blocks, whose entries
-    reference grandchild blocks, and so on — so recursion depth would
-    scale with the hierarchy height times the per-range chain length.
+    Memoized by entry identity, so shared sources materialize once: a
+    memo shared by sibling curves makes a relocated solution point at
+    the very object its source curve freezes, as on the python backend.
+    Floats are taken from the sources wherever the scalar loops reuse
+    them (a buffer's input cap, a moved source's area, the smaller
+    required time of a join), so survivors hold no more float objects
+    than the python backend's.
     """
     ctx = entry[3]
     if ctx is None:
         return entry[4]
-    sol = memo.get(id(entry))
+    key = id(entry)
+    sol = memo.get(key)
     if sol is not None:
         return sol
-    stack = [entry]
-    push = stack.append
-    while stack:
-        cur = stack[-1]
-        ctx = cur[3]
-        if ctx is None:
-            stack.pop()
-            continue
-        key = id(cur)
-        if key in memo:
-            stack.pop()
-            continue
-        kind = ctx[0]
-        i = cur[4]
-        if kind == "join":
-            _, root, lblk, rblk, nb = ctx
-            ai, bi = divmod(i, nb)
-            left = _block_row(lblk, ai, memo)
-            right = _block_row(rblk, bi, memo)
-            if left is None or right is None:
-                if left is None:
-                    push(lblk.entries[ai])
-                if right is None:
-                    push(rblk.entries[bi])
-                continue
-            sol = Solution(root, cur[0], cur[1], cur[2], Join(left, right))
-        elif kind == "buf":
-            _, root, sources, buffer_params = ctx
-            si, bj = divmod(i, len(buffer_params))
-            src = _src_solution(sources[si], memo)
-            if src is None:
-                push(sources[si])
-                continue
-            sol = Solution(root, cur[0], cur[1], cur[2],
-                           Buffered(src, buffer_params[bj][0]))
-        elif kind == "ext1":
-            _, root, src_e, length, width = ctx
-            src = _src_solution(src_e, memo)
-            if src is None:
-                push(src_e)
-                continue
-            sol = Solution(root, cur[0], cur[1], cur[2],
-                           Extend(src, length, width))
-        elif kind == "buf1":
-            _, root, src_e, buffer = ctx
-            src = _src_solution(src_e, memo)
-            if src is None:
-                push(src_e)
-                continue
-            sol = Solution(root, cur[0], cur[1], cur[2],
-                           Buffered(src, buffer))
-        else:  # "reloc"
-            _, root, starts, blocks, opts, flat_loads, flat_reqs, \
-                buffer_params = ctx
-            bi = bisect_right(starts, i) - 1
-            start, sources, length, width = blocks[bi]
-            si, opt = divmod(i - start, opts)
-            src = _src_solution(sources[si], memo)
-            if src is None:
-                push(sources[si])
-                continue
-            if opt == 0:
-                sol = Solution(root, cur[0], cur[1], cur[2],
-                               Extend(src, length, width))
-            else:
-                # Rebuild the intermediate moved solution the buffer
-                # drives; its triple sits in column 0 of the same row.
-                base_i = start + si * opts
-                moved = Solution(root, float(flat_loads[base_i]),
-                                 float(flat_reqs[base_i]),
-                                 cur[2] - buffer_params[opt - 1][2],
-                                 Extend(src, length, width))
-                sol = Solution(root, cur[0], cur[1], cur[2],
-                               Buffered(moved, buffer_params[opt - 1][0]))
-        memo[key] = sol
-        stack.pop()
-    return memo[id(entry)]
+    kind = ctx[0]
+    root = ctx[1]
+    i = entry[4]
+    if kind == "join":
+        _, _, lefts, rights, nb = ctx
+        ai, bi = divmod(i, nb)
+        left = lefts[ai]
+        right = rights[bi]
+        l_req = left.required_time
+        r_req = right.required_time
+        sol = Solution(root, entry[0], l_req if l_req < r_req else r_req,
+                       entry[2], Join(left, right))
+    elif kind == "buf":
+        _, _, sources, buffer_params = ctx
+        si, bj = divmod(i, len(buffer_params))
+        src = sources[si]
+        if not isinstance(src, Solution):
+            src = resolve_entry(src, memo)
+        params = buffer_params[bj]
+        sol = Solution(root, params[1], entry[1], entry[2],
+                       Buffered(src, params[0]))
+    elif kind == "ext1":
+        _, _, src_e, length, width = ctx
+        src = resolve_entry(src_e, memo)
+        sol = Solution(root, entry[0], entry[1], src.area,
+                       Extend(src, length, width))
+    elif kind == "buf1":
+        _, _, src_e, buffer = ctx
+        sol = Solution(root, entry[0], entry[1], entry[2],
+                       Buffered(resolve_entry(src_e, memo), buffer))
+    else:  # "reloc"
+        _, _, starts, blocks, opts, moved_loads, moved_reqs, \
+            buffer_params = ctx
+        row, opt = divmod(i, opts)
+        # Every option of one stream row shares its moved solution.
+        moved_key = (id(ctx), row)
+        moved = memo.get(moved_key)
+        if moved is None:
+            start, sources, length, width = blocks[
+                bisect_right(starts, row) - 1]
+            src = resolve_entry(sources[row - start], memo)
+            moved = Solution(root, float(moved_loads[row]),
+                             float(moved_reqs[row]), src.area,
+                             Extend(src, length, width))
+            memo[moved_key] = moved
+        if opt == 0:
+            sol = moved
+        else:
+            params = buffer_params[opt - 1]
+            sol = Solution(root, params[1], entry[1], entry[2],
+                           Buffered(moved, params[0]))
+    memo[key] = sol
+    return sol
 
 
 class PendingCurve:
@@ -563,10 +441,9 @@ class PendingCurve:
     — per ``(load bucket, area bucket)`` cell, keep the entry with the
     strictly highest required time, first occupant winning ties — but the
     stored values are pending-entry tuples, so generating and culling
-    candidates never constructs :class:`Solution` objects.  Survivors are
-    frozen, still deferred, into :class:`CurveSoA` blocks; only
-    :attr:`solutions` / :meth:`to_solution_curve` (the thaw/traceback
-    boundary) materialize.
+    candidates never constructs :class:`Solution` objects.  Survivors
+    materialize only at the freeze/thaw boundary (:meth:`freeze`,
+    :attr:`solutions`, :meth:`to_solution_curve`).
 
     Iterating a ``PendingCurve`` yields the raw entry tuples; that is the
     engine-facing snapshot format the pending kernels consume.
@@ -599,46 +476,37 @@ class PendingCurve:
 
     def add(self, solution: Solution) -> bool:
         """Insert one already-materialized solution."""
-        key = (round(solution.load * self._inv_load),
-               round(solution.area * self._inv_area))
-        incumbent = self._by_bucket.get(key)
-        if incumbent is None or incumbent[1] < solution.required_time:
-            self._by_bucket[key] = (solution.load, solution.required_time,
-                                    solution.area, None, solution)
-            self._pruned = False
-            return True
-        return False
+        return self.extend((solution,)) > 0
 
     def extend(self, solutions) -> int:
-        """Merge a frozen sequence; return how many entries stored.
+        """Merge materialized solutions; return how many entries stored.
 
-        A :class:`CurveSoA` block merges without materializing: the
-        block's own entry tuples are inserted directly (their attribute
-        triples and contexts are exactly what this curve would store).
+        A large :class:`CurveSoA` block is reduced to its per-bucket
+        winners over its columns first, so only those get an entry.
         """
-        if isinstance(solutions, CurveSoA):
-            entries = solutions.entries
-            if len(entries) >= EXTEND_MIN_ITEMS:
-                win, klo, kar, _l, _r, _a = _winner_stream(
-                    self._inv_load, self._inv_area,
-                    solutions.loads, solutions.reqs, solutions.areas)
-                return _merge_entries(self, zip(klo, kar),
-                                      map(entries.__getitem__, win))
-            by_bucket = self._by_bucket
-            get = by_bucket.get
-            inv_load = self._inv_load
-            inv_area = self._inv_area
-            stored = 0
-            for t in entries:
-                key = (round(t[0] * inv_load), round(t[2] * inv_area))
-                incumbent = get(key)
-                if incumbent is None or incumbent[1] < t[1]:
-                    by_bucket[key] = t
-                    stored += 1
-            if stored:
-                self._pruned = False
-            return stored
-        return sum(1 for s in solutions if self.add(s))
+        if isinstance(solutions, CurveSoA) \
+                and len(solutions) >= EXTEND_MIN_ITEMS:
+            win, klo, kar, loads, reqs, areas = _winner_stream(
+                self._inv_load, self._inv_area, *solutions.columns())
+            return _merge_entries(
+                self, zip(klo, kar),
+                zip(loads, reqs, areas, repeat(None),
+                    map(solutions.__getitem__, win)))
+        by_bucket = self._by_bucket
+        get = by_bucket.get
+        inv_load = self._inv_load
+        inv_area = self._inv_area
+        stored = 0
+        for s in solutions:
+            req = s.required_time
+            key = (round(s.load * inv_load), round(s.area * inv_area))
+            incumbent = get(key)
+            if incumbent is None or incumbent[1] < req:
+                by_bucket[key] = (s.load, req, s.area, None, s)
+                stored += 1
+        if stored:
+            self._pruned = False
+        return stored
 
     def prune(self) -> None:
         """Remove 3-D dominated entries and enforce the capacity cap.
@@ -676,21 +544,24 @@ class PendingCurve:
             rec.record(metric.CURVE_PRUNE_SURVIVOR_RATIO,
                        kept / before if before else 1.0)
 
-    def freeze(self) -> CurveSoA:
-        """Freeze into a (still deferred) :class:`CurveSoA` block."""
-        return CurveSoA(entries=sorted(self._by_bucket.values(),
-                                       key=_entry_order))
+    def freeze(self, memo: Optional[dict] = None) -> CurveSoA:
+        """Freeze into a :class:`CurveSoA` block of materialized survivors.
+
+        ``memo`` is the :func:`resolve_entry` memo shared by every curve
+        frozen together: relocated entries point into sibling curves, so
+        one memo materializes each shared source once.  Curve order is
+        ``SolutionCurve.solutions``'s: a stable sort of the dict values
+        by ``(load, -required_time, area)``.
+        """
+        if memo is None:
+            memo = {}
+        return CurveSoA(resolve_entry(t, memo) for t in
+                        sorted(self._by_bucket.values(), key=_entry_order))
 
     @property
     def solutions(self) -> List[Solution]:
-        """Materialized survivors, sorted by ascending load.
-
-        Same order as ``SolutionCurve.solutions``: stable sort of the
-        dict values by ``(load, -required_time, area)``.
-        """
-        entries = sorted(self._by_bucket.values(), key=_entry_order)
-        memo: dict = {}
-        return [resolve_entry(t, memo) for t in entries]
+        """Materialized survivors, sorted by ascending load."""
+        return self.freeze()
 
     def to_solution_curve(self):
         """Materialize into an equivalent :class:`SolutionCurve`.
@@ -722,26 +593,24 @@ def pending_join(curve: PendingCurve, lefts, rights) -> None:
     """
     lefts = as_soa(lefts)
     rights = as_soa(rights)
-    left_entries = lefts.entries
-    right_entries = rights.entries
-    nb = len(right_entries)
+    nb = len(rights)
     ctx = ("join", curve.root, lefts, rights, nb)
     by_bucket = curve._by_bucket
     inv_load = curve._inv_load
     inv_area = curve._inv_area
-    if len(left_entries) * nb < JOIN_MIN_PAIRS:
+    if len(lefts) * nb < JOIN_MIN_PAIRS:
         stored = 0
         get = by_bucket.get
         i = 0
-        for ta in left_entries:
-            a_load = ta[0]
-            a_req = ta[1]
-            a_area = ta[2]
-            for tb in right_entries:
-                load = a_load + tb[0]
-                b_req = tb[1]
+        for a in lefts:
+            a_load = a.load
+            a_req = a.required_time
+            a_area = a.area
+            for b in rights:
+                load = a_load + b.load
+                b_req = b.required_time
                 req = a_req if a_req < b_req else b_req
-                area = a_area + tb[2]
+                area = a_area + b.area
                 key = (round(load * inv_load), round(area * inv_area))
                 incumbent = get(key)
                 if incumbent is None or incumbent[1] < req:
@@ -751,9 +620,11 @@ def pending_join(curve: PendingCurve, lefts, rights) -> None:
         if stored:
             curve._pruned = False
         return
-    loads = _np.add.outer(lefts.loads, rights.loads).ravel()
-    reqs = _np.minimum.outer(lefts.reqs, rights.reqs).ravel()
-    areas = _np.add.outer(lefts.areas, rights.areas).ravel()
+    l_loads, l_reqs, l_areas = lefts.columns()
+    r_loads, r_reqs, r_areas = rights.columns()
+    loads = _np.add.outer(l_loads, r_loads).ravel()
+    reqs = _np.minimum.outer(l_reqs, r_reqs).ravel()
+    areas = _np.add.outer(l_areas, r_areas).ravel()
     win, klo, kar, w_loads, w_reqs, w_areas = _winner_stream(
         inv_load, inv_area, loads, reqs, areas)
     _merge_entries(curve, zip(klo, kar),
@@ -853,8 +724,7 @@ def pending_buffer(curve: PendingCurve, sources, lib,
             and len(curve._cache[0]) == ns):
         base_loads, base_reqs, base_areas = curve._cache
     elif solution_sources:
-        base = CurveSoA(sources)
-        base_loads, base_reqs, base_areas = base.loads, base.reqs, base.areas
+        base_loads, base_reqs, base_areas = CurveSoA(sources).columns()
     else:
         base = TupleSoA(sources)
         base_loads, base_reqs, base_areas = base.loads, base.reqs, base.areas
@@ -910,7 +780,7 @@ def pending_relocate(curve: PendingCurve, to_idx: int,
         return _pending_relocate_scalar(
             curve, to_idx, snapshots, wire_res, wire_cap, candidates,
             wire_widths, lib)
-    blocks = []       # (flat offset, snapshot entries, length, width)
+    blocks = []       # (first stream row, snapshot entries, length, width)
     starts = []
     sizes = []        # per-block source count
     block_res = []    # per-block scalar wire parameters
@@ -918,7 +788,7 @@ def pending_relocate(curve: PendingCurve, to_idx: int,
     src_loads = []
     src_reqs = []
     src_areas = []
-    offset = 0
+    row = 0
     for frm_idx, snapshot in enumerate(snapshots):
         if frm_idx == to_idx or not snapshot.entries:
             continue
@@ -927,15 +797,15 @@ def pending_relocate(curve: PendingCurve, to_idx: int,
         length = candidates[frm_idx].manhattan_to(root)
         ns = len(snapshot.entries)
         for width in wire_widths:
-            blocks.append((offset, snapshot.entries, length, width))
-            starts.append(offset)
+            blocks.append((row, snapshot.entries, length, width))
+            starts.append(row)
             sizes.append(ns)
             block_res.append(base_res / width)
             block_cap.append(base_cap * width)
             src_loads.append(snapshot.loads)
             src_reqs.append(snapshot.reqs)
             src_areas.append(snapshot.areas)
-            offset += ns * opts
+            row += ns
     if not blocks:
         return False
     cat_loads = _np.concatenate(src_loads)
@@ -958,13 +828,13 @@ def pending_relocate(curve: PendingCurve, to_idx: int,
         reqs[:, 1:] = (moved_req[:, None] - lib.d0) \
             - lib.slope * moved_load[:, None]
         areas[:, 1:] = cat_areas[:, None] + lib.areas
-    flat_loads = loads.ravel()
-    flat_reqs = reqs.ravel()
-    flat_areas = areas.ravel()
-    ctx = ("reloc", root, starts, blocks, opts, flat_loads, flat_reqs,
+    # The context keeps only the moved columns (n,), never the (n, opts)
+    # stream: traceback rebuilds a buffered option from its moved row.
+    ctx = ("reloc", root, starts, blocks, opts, moved_load, moved_req,
            buffer_params)
     win, klo, kar, w_loads, w_reqs, w_areas = _winner_stream(
-        curve._inv_load, curve._inv_area, flat_loads, flat_reqs, flat_areas)
+        curve._inv_load, curve._inv_area, loads.ravel(), reqs.ravel(),
+        areas.ravel())
     return _merge_entries(
         curve, zip(klo, kar),
         zip(w_loads, w_reqs, w_areas, repeat(ctx), win)) > 0

@@ -10,14 +10,21 @@ scalar references on adversarial random batches.
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from repro.core.bubble_construct import bubble_construct, make_context
+from repro.core.config import MerlinConfig
 from repro.curves import kernels
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Join, SinkLeaf, Solution
+from repro.experiments.nets import make_experiment_net
 from repro.geometry.point import Point
+from repro.orders.order import Order
+from repro.tech.technology import default_technology
 
 np = pytest.importorskip("numpy")
 
@@ -71,9 +78,10 @@ def test_curve_soa_columns_match_solutions():
     soa = kernels.CurveSoA(sols)
     assert list(soa) == sols
     assert len(soa) == len(sols)
-    assert soa.loads.tolist() == [s.load for s in sols]
-    assert soa.reqs.tolist() == [s.required_time for s in sols]
-    assert soa.areas.tolist() == [s.area for s in sols]
+    loads, reqs, areas = soa.columns()
+    assert loads.tolist() == [s.load for s in sols]
+    assert reqs.tolist() == [s.required_time for s in sols]
+    assert areas.tolist() == [s.area for s in sols]
 
 
 def test_buffer_vectors_align_with_params():
@@ -171,7 +179,8 @@ def test_pending_join_matches_scalar(n_left, n_right):
     rng = random.Random(n_left * 100 + n_right)
     lefts = _random_solutions(rng, n_left)
     rights = _random_solutions(rng, n_right)
-    config = CurveConfig(load_step=2.0, area_step=3.0, max_solutions=24)
+    config = CurveConfig(load_step=2.0, area_step=3.0, max_solutions=24,
+                         backend="python")
 
     scalar = SolutionCurve(P, config)
     _scalar_join(scalar, lefts, rights)
@@ -189,7 +198,8 @@ def test_pending_join_matches_scalar(n_left, n_right):
 def test_pending_extend_and_prune_match_scalar(n):
     rng = random.Random(n)
     sols = _random_solutions(rng, n)
-    config = CurveConfig(load_step=2.0, area_step=3.0, max_solutions=16)
+    config = CurveConfig(load_step=2.0, area_step=3.0, max_solutions=16,
+                         backend="python")
 
     scalar = SolutionCurve(P, config)
     for s in sols:
@@ -236,3 +246,40 @@ def test_solution_curve_batch_extend_matches_scalar_adds():
         sequential.add(s)
 
     assert _contents(batched) == _contents(sequential)
+
+
+# ----------------------------------------------------------------------
+# Memory: frozen blocks hold what the python backend's lists hold
+# ----------------------------------------------------------------------
+
+def _context_bytes(backend: str, net, tech) -> int:
+    """Traced bytes a :class:`PTreeContext` still holds (its Γ, range
+    and sink memos) after one BUBBLE_CONSTRUCT, once garbage is gone."""
+    config = MerlinConfig(backend=backend)
+    order = Order.identity(len(net))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        context = make_context(net, tech, config)
+        bubble_construct(net, order, tech, config, context=context)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert context.gamma_memo  # the memos under measurement exist
+    return retained
+
+
+def test_numpy_context_retains_about_what_python_does():
+    """Frozen numpy blocks keep only their survivors, never the batch
+    contexts — such as a relocation stream's ``(n, opts)`` arrays —
+    their entries pointed into."""
+    tech = default_technology()
+    net = make_experiment_net("mem2", 3, seed=2)
+    for backend in ("python", "numpy"):  # warm one-time caches
+        bubble_construct(net, Order.identity(len(net)), tech,
+                         MerlinConfig(backend=backend))
+    python_bytes = _context_bytes("python", net, tech)
+    numpy_bytes = _context_bytes("numpy", net, tech)
+    assert numpy_bytes <= 1.5 * python_bytes, (numpy_bytes, python_bytes)

@@ -181,7 +181,23 @@ def test_facade_is_exported_at_top_level():
 def test_config_backend_none_keeps_curve_backend():
     config = MerlinConfig.test_preset()
     assert config.backend is None
-    assert config.curve.backend == "python"
+    expected = "numpy" if kernels.numpy_available() else "python"
+    assert config.curve.backend == expected
+    assert MerlinConfig().curve.resolved_backend() == expected
+
+
+def test_default_backend_without_numpy_is_python_and_silent(monkeypatch,
+                                                            caplog):
+    """With NumPy absent the default names python outright, so it never
+    takes the numpy-requested fallback or logs its warning."""
+    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(kernels, "_fallback_logged", False)
+    with caplog.at_level("WARNING", logger="repro.curves.kernels"):
+        config = MerlinConfig()
+        assert config.curve.backend == "python"
+        assert config.curve.resolved_backend() == "python"
+        assert MerlinConfig.test_preset().curve.resolved_backend() == "python"
+    assert not caplog.records
 
 
 def test_config_backend_normalizes_into_curve():
