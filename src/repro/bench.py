@@ -68,8 +68,8 @@ MIN_TRACKED_SECONDS = 0.05
 REGRESSION_THRESHOLD = 0.20
 
 #: The headline single-engine config: paper-faithful fine quantization
-#: (pseudo-polynomial buckets small relative to sink loads) — the regime
-#: the vectorized kernels are built for.
+#: (pseudo-polynomial buckets small relative to sink loads) — large
+#: curves, where the curve kernels dominate the solve.
 _HEAVY_CURVE = CurveConfig(load_step=0.25, area_step=10.0,
                            max_solutions=160)
 
@@ -179,8 +179,7 @@ def run_engine_case(case: Dict[str, Any],
         "runs": runs,
         "signatures_match": len(signatures) == 1,
     }
-    if "python" in runs and "numpy" in runs \
-            and runs["numpy"]["resolved_backend"] == "numpy":
+    if "python" in runs and "numpy" in runs:
         out["numpy_speedup"] = (runs["python"]["wall_s"]
                                 / runs["numpy"]["wall_s"])
         print(f"  {case['name']:12s} numpy speedup: "
@@ -400,16 +399,11 @@ def _calibration_s(repeats: int = 3) -> float:
 
 def _environment() -> Dict[str, Any]:
     import os
-    env = {
+    return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "numpy": None,
     }
-    if contract.numpy_available():
-        import numpy
-        env["numpy"] = numpy.__version__
-    return env
 
 
 def calibration_seconds(repeats: int = 3) -> float:
@@ -429,7 +423,7 @@ def run_suite(quick: bool, backends: Sequence[str],
     cases: List[Dict[str, Any]] = []
     for case in _engine_cases(quick):
         cases.append(run_engine_case(case, backends))
-    # Worker sweeps exercise the parallel driver on the best available
+    # Worker sweeps exercise the parallel driver on the served default
     # backend (that is how multi-start would actually be run).
     par_backend = "numpy" if "numpy" in backends else backends[0]
     for case in _parallel_cases(quick):
@@ -598,7 +592,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "BENCH_<tag>.json in the current directory)")
     parser.add_argument("--backends", default=None,
                         help="comma-separated backend list (default: "
-                             "python,numpy when numpy is available)")
+                             "python,numpy)")
     parser.add_argument("--workers", default="1,2",
                         help="comma-separated worker counts for the "
                              "multi-start sweep (default 1,2)")
@@ -672,10 +666,8 @@ def run_from_args(args, parser: Optional[argparse.ArgumentParser] = None,
 
     if args.backends:
         backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    elif contract.numpy_available():
-        backends = ["python", "numpy"]
     else:
-        backends = ["python"]
+        backends = list(contract.BACKENDS)
     for backend in backends:
         if backend not in contract.BACKENDS:
             return _error(f"unknown backend {backend!r}")

@@ -35,6 +35,12 @@ from typing import List, Optional
 from repro.core.config import MerlinConfig
 from repro.tech.technology import default_technology
 
+#: Shared help of every subcommand's ``--backend`` override.
+_BACKEND_HELP = ("curve-kernel backend override (default: the config's "
+                 "backend); numpy runs deferred curves, python the scalar "
+                 "reference; results are bit-identical and neither needs "
+                 "NumPy")
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -61,11 +67,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "one; malformed input exits 2 with a one-line "
                             "error naming the offending field")
     p_net.add_argument("--backend", choices=["python", "numpy"],
-                       default=None,
-                       help="curve-kernel backend override (default: the "
-                            "config's backend, i.e. numpy when NumPy "
-                            "imports, else python; numpy degrades to "
-                            "python when NumPy is unavailable)")
+                       default=None, help=_BACKEND_HELP)
     p_net.add_argument("--multi-start", type=int, default=0, metavar="K",
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "
@@ -108,8 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "config's workers; 0 = one per CPU; 1 = "
                             "serial)")
     p_srv.add_argument("--backend", choices=["python", "numpy"],
-                       default=None,
-                       help="curve-kernel backend override")
+                       default=None, help=_BACKEND_HELP)
     p_srv.add_argument("--preset", choices=["fast", "test", "paper"],
                        default="fast",
                        help="MerlinConfig preset the service optimizes "
@@ -185,7 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="MerlinConfig preset of in-process services "
                            "(default fast)")
     p_lg.add_argument("--backend", choices=["python", "numpy"],
-                      default=None)
+                      default=None, help=_BACKEND_HELP)
 
     p_cls = sub.add_parser(
         "closure", help="full-netlist timing closure (place, STA, "
@@ -220,8 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="MerlinConfig preset for the per-net "
                             "optimizations (default fast)")
     p_cls.add_argument("--backend", choices=["python", "numpy"],
-                       default=None,
-                       help="curve-kernel backend override")
+                       default=None, help=_BACKEND_HELP)
     p_cls.add_argument("--workers", type=int, default=None,
                        help="service warm-pool size (default: the "
                             "config's workers; 0 = one per CPU)")

@@ -78,12 +78,12 @@ class MerlinConfig:
     workers: int = 1
     #: Curve-kernel backend ("python" or "numpy"); results are
     #: bit-identical either way (enforced by the bench equivalence gate).
-    #: None follows ``curve.backend``, whose default is "numpy" whenever
-    #: NumPy imports and "python" otherwise; when set it takes precedence
-    #: and is normalized into ``curve.backend`` at construction time, so
-    #: library users pick a backend with ``MerlinConfig(backend=...)``
-    #: (e.g. "python" for the scalar reference) instead of
-    #: hand-replacing the nested CurveConfig.
+    #: None follows ``curve.backend``, whose default is "numpy" (the
+    #: deferred-curve kernel; a historical name, NumPy is not needed);
+    #: when set it takes precedence and is normalized into
+    #: ``curve.backend`` at construction time, so library users pick a
+    #: backend with ``MerlinConfig(backend=...)`` (e.g. "python" for the
+    #: scalar reference) instead of hand-replacing the nested CurveConfig.
     backend: Optional[str] = None
     #: Wire-sizing multipliers tried for every wire the DP creates
     #: (1.0 = minimum width; resistance scales 1/w, capacitance w).

@@ -23,10 +23,10 @@ The recursion follows the paper:
 This module is the library's hottest code path, but it no longer owns
 the inner loops: every curve operation goes through the registered
 :class:`repro.curves.contract.CurveKernel` backend selected by
-``CurveConfig.backend`` — batched kernels over deferred live curves
-(:mod:`repro.curves.backend_numpy`, the default whenever NumPy imports)
-or scalar ``SolutionCurve`` loops (:mod:`repro.curves.backend_python`),
-bit-identical by contract.
+``CurveConfig.backend`` — loops over deferred live curves
+(:mod:`repro.curves.backend_numpy`, the default) or over
+``SolutionCurve`` (:mod:`repro.curves.backend_python`), bit-identical by
+contract.
 What stays here is the DP structure and the per-net precomputation:
 tables indexed by candidate *index*, wire resistances/capacitances
 between candidates precomputed, per-buffer delays precomputed as affine
@@ -51,13 +51,8 @@ from repro.tech.technology import Technology
 from repro.units import fzero
 
 #: A leaf's base solutions, indexed by candidate index.  Each entry is a
-#: frozen curve block in the active kernel's format: a plain list
-#: (python backend) or a :class:`repro.curves.kernels.CurveSoA` block
-#: (numpy backend).
+#: frozen curve block: its surviving solutions in curve order.
 LeafCurves = List[Sequence[Solution]]
-
-#: Backwards-compatible alias (the tuple layout moved to the contract).
-_BufferParams = BufferParams
 
 
 class PTreeContext:
@@ -89,8 +84,6 @@ class PTreeContext:
         self.wire_widths: Tuple[float, ...] = tuple(wire_widths)
         #: The registered kernel backend running every curve operation.
         self.kernel = contract.get_kernel(curve_config.backend)
-        #: Resolved once; kept for callers that branch on the backend.
-        self.use_numpy = self.kernel.name == "numpy"
         # With buffering disabled the DP degenerates to plain PTREE
         # [LCLH96] — the routing baseline of Flows I and II.
         buffers = list(tech.buffers) if use_buffers else []
@@ -98,7 +91,7 @@ class PTreeContext:
             _affine_params(b, tech) for b in buffers
         ]
         #: Preprocessed buffer library (affine params, quantized cap
-        #: keys, Li & Shi shadow table, backend column vectors).
+        #: keys, Li & Shi shadow table).
         self.library = self.kernel.make_library(self.buffer_params,
                                                 curve_config)
         k = len(self.candidates)
@@ -129,10 +122,9 @@ class PTreeContext:
     def freeze_curves(self, curves: List[SolutionCurve]) -> LeafCurves:
         """Freeze live curves into per-candidate frozen blocks.
 
-        The python backend freezes to plain solution lists; the numpy
-        backend to :class:`~repro.curves.kernels.CurveSoA` blocks, lists
-        of the materialized survivors.  One memo serves the whole group,
-        since relocated entries point into sibling curves.
+        Every backend freezes to plain lists of the surviving solutions.
+        One memo serves the whole group, since the deferred backend's
+        relocated entries point into sibling curves.
         """
         kernel = self.kernel
         memo: dict = {}
@@ -141,7 +133,7 @@ class PTreeContext:
     def thaw_curves(self, curves) -> List[SolutionCurve]:
         """Hand live curves back to backend-agnostic callers.
 
-        The numpy backend's pending curves are materialized into
+        The deferred backend's pending curves are materialized into
         equivalent :class:`SolutionCurve` instances (same buckets, same
         dict order); python-backend curves pass through unchanged.
         """
@@ -295,7 +287,7 @@ class PTreeContext:
         for c in indices:
             curve = curves[c]
             curve.prune()
-            self._buffer_all(curve, list(curve), from_curve=True)
+            self._buffer_all(curve, list(curve))
             curve.prune()
         self._relocate(curves, active)
 
@@ -303,23 +295,16 @@ class PTreeContext:
     # Kernel delegation
     # ------------------------------------------------------------------
 
-    def _buffer_all(self, curve: SolutionCurve, solutions,
-                    from_curve: bool = False) -> None:
-        """Offer every library buffer at the root of each solution.
-
-        ``from_curve`` marks ``solutions`` as the curve's own (just
-        pruned) contents in dict order, unlocking backend caches.
-        """
+    def _buffer_all(self, curve: SolutionCurve, solutions) -> None:
+        """Offer every library buffer at the root of each solution."""
         rec = active_recorder()
         if not rec.enabled:
-            self.kernel.add_buffer(curve, self.library, solutions,
-                                   from_curve=from_curve)
+            self.kernel.add_buffer(curve, self.library, solutions)
             return
         rec.incr(metric.PTREE_BUFFER_OFFERS,
                  len(solutions) * len(self.buffer_params))
         with rec.span(metric.SPAN_KERNEL_BUFFER):
-            skipped = self.kernel.add_buffer(curve, self.library, solutions,
-                                             from_curve=from_curve)
+            skipped = self.kernel.add_buffer(curve, self.library, solutions)
         if skipped:
             rec.incr(metric.PTREE_BUFFER_SHADOW_SKIPS, skipped)
 

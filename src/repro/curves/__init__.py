@@ -27,18 +27,12 @@ from repro.curves.solution import (
     check_solution,
 )
 from repro.curves.curve import CurveConfig, SolutionCurve
-from repro.curves.kernels import (
-    BACKENDS,
-    CurveSoA,
-    PendingCurve,
-    numpy_available,
-    resolve_backend,
-)
+from repro.curves.kernels import BACKENDS, PendingCurve, resolve_backend
+from repro.curves.contract import numpy_available
 from repro.curves.ops import extend_curve, join_curves, buffered_options
 
 __all__ = [
     "BACKENDS",
-    "CurveSoA",
     "PendingCurve",
     "numpy_available",
     "resolve_backend",

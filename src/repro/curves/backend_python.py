@@ -14,20 +14,16 @@ any key is built.
 These loops were the bodies of ``PTreeContext.join_into`` /
 ``_buffer_all`` / ``_relocate`` before the kernel boundary existed;
 they moved here verbatim (plus the shadow skips) so the engine layer is
-backend-blind.  The numpy backend must match this one bit-for-bit —
-the golden suites and ``bench check_suite`` hold both to it.
+backend-blind.  The deferred (``"numpy"``) backend must match this one
+bit-for-bit — the golden suites and ``bench check_suite`` hold both to
+it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.curves.contract import (
-    BufferParams,
-    CurveKernel,
-    KernelLibrary,
-    register_kernel,
-)
+from repro.curves.contract import CurveKernel, KernelLibrary, register_kernel
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Buffered, Extend, Join, Solution
 from repro.geometry.point import Point
@@ -38,10 +34,6 @@ class PythonKernel(CurveKernel):
     """Scalar reference implementation of the kernel contract."""
 
     name = "python"
-
-    def make_library(self, buffer_params: Sequence[BufferParams],
-                     curve_config: CurveConfig) -> KernelLibrary:
-        return KernelLibrary(buffer_params, curve_config)
 
     def new_curve(self, root: Point, config: CurveConfig) -> SolutionCurve:
         return SolutionCurve(root, config)
@@ -67,7 +59,7 @@ class PythonKernel(CurveKernel):
                                             Join(a, b)))
 
     def add_buffer(self, curve: SolutionCurve, library: KernelLibrary,
-                   sources=None, from_curve: bool = False) -> int:
+                   sources=None) -> int:
         if sources is None:
             sources = list(curve)
         buffer_params = library.params

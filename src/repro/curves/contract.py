@@ -24,12 +24,12 @@ This module pins that interface as :class:`CurveKernel` and keeps a
 registry of implementations, mirroring how staticcheck rules register:
 each backend module defines a subclass decorated with
 :func:`register_kernel`, and the engine resolves one by name at context
-creation.  Two backends ship — ``"python"``
+creation.  Two backends ship, both pure Python — ``"python"``
 (:mod:`repro.curves.backend_python`, scalar loops over
-:class:`~repro.curves.curve.SolutionCurve`) and ``"numpy"``
-(:mod:`repro.curves.backend_numpy`, deferred live curves and
-structure-of-arrays blocks from :mod:`repro.curves.kernels`, the default
-whenever NumPy imports) — and are bit-identical by contract:
+:class:`~repro.curves.curve.SolutionCurve`, the reference oracle) and
+``"numpy"`` (:mod:`repro.curves.backend_numpy`, deferred live curves
+from :mod:`repro.curves.kernels`, the served default; the name is
+historical) — and are bit-identical by contract:
 the golden suites and ``bench check_suite`` pin equal tree signatures.
 A native or GPU backend is a third registration away; engine layers
 (``core``, ``routing``, ``service``, ``pipeline``) never see
@@ -51,10 +51,11 @@ perturb results.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+import importlib.util
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.curves.curve import CurveConfig, SolutionCurve
-from repro.curves.kernels import BACKENDS, numpy_available, resolve_backend
+from repro.curves.kernels import BACKENDS, resolve_backend
 from repro.geometry.point import Point
 from repro.tech.buffer import Buffer
 
@@ -73,6 +74,13 @@ __all__ = [
 #: Per-buffer precomputed parameters:
 #: (buffer, input_cap, area, delay_intercept, delay_slope).
 BufferParams = Tuple[Buffer, float, float, float, float]
+
+
+def numpy_available() -> bool:
+    """True when NumPy is installed, for benchmark environment records;
+    no backend uses it.  Asks the import system without importing NumPy
+    (a blocked import answers False)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 class KernelLibrary:
@@ -128,7 +136,7 @@ class CurveKernel:
     def make_library(self, buffer_params: Sequence[BufferParams],
                      curve_config: CurveConfig) -> KernelLibrary:
         """Preprocess the buffer library once per net."""
-        raise NotImplementedError
+        return KernelLibrary(buffer_params, curve_config)
 
     def new_curve(self, root: Point, config: CurveConfig):
         """One empty live curve rooted at ``root``."""
@@ -143,14 +151,12 @@ class CurveKernel:
         ``curve`` (left-major stream order)."""
         raise NotImplementedError
 
-    def add_buffer(self, curve, library: KernelLibrary, sources=None,
-                   from_curve: bool = False) -> int:
+    def add_buffer(self, curve, library: KernelLibrary,
+                   sources=None) -> int:
         """Offer every library buffer at the root of each source.
 
         ``sources=None`` buffers the curve's own current contents (the
-        caller must have pruned first); ``from_curve`` asserts that an
-        explicit ``sources`` is the curve's own contents in iteration
-        order, unlocking backend caches.  Returns the number of offers
+        caller must have pruned first).  Returns the number of offers
         skipped by the shadow table (0 when it never fired).
         """
         raise NotImplementedError
@@ -206,16 +212,8 @@ def kernel_names() -> List[str]:
 
 
 def get_kernel(name: str) -> CurveKernel:
-    """Resolve a backend name to its registered kernel.
-
-    Applies the same graceful degradation as
-    :func:`repro.curves.kernels.resolve_backend` (``"numpy"`` without
-    NumPy runs the python kernel), so engine code can request the
-    configured name directly.
-    """
+    """Resolve a backend name to its registered kernel."""
     _load_builtins()
-    if name in BACKENDS:
-        name = resolve_backend(name)
     kernel = _REGISTRY.get(name)
     if kernel is None:
         raise ValueError(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.curves import kernels
@@ -28,19 +28,18 @@ class CurveConfig:
     the three extreme points (best required time, min load, min area) are
     always retained, so both objective variants keep their optima.
 
-    ``backend`` selects the curve-kernel implementation: ``"numpy"``
-    (vectorized structure-of-arrays kernels; the default whenever NumPy
-    imports) or ``"python"`` (dependency-free scalar loops; the default
-    otherwise, and the reference the numpy kernels must match).  Results
-    are bit-identical either way (see :mod:`repro.curves.kernels`).
-    Requesting ``"numpy"`` without NumPy installed degrades gracefully to
-    ``"python"``.
+    ``backend`` selects the curve-kernel implementation: ``"numpy"`` (the
+    default: deferred live curves whose candidates materialize only if
+    they survive; the name is historical and NumPy is not needed) or
+    ``"python"`` (plain ``SolutionCurve`` loops, the reference the
+    deferred kernels must match).  Results are bit-identical either way
+    (see :mod:`repro.curves.kernels`).
     """
 
     load_step: float = 1.0
     area_step: float = 30.0
     max_solutions: int = 64
-    backend: str = field(default_factory=kernels.default_backend)
+    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.load_step <= 0 or self.area_step <= 0:
@@ -53,13 +52,18 @@ class CurveConfig:
                 f"expected one of {kernels.BACKENDS}")
 
     def resolved_backend(self) -> str:
-        """The backend that will actually run (after NumPy availability)."""
+        """The backend that will actually run."""
         return kernels.resolve_backend(self.backend)
 
     def bucket(self, solution: Solution) -> Tuple[int, int]:
-        """Return the (load, area) quantization bucket of ``solution``."""
-        return (round(solution.load / self.load_step),
-                round(solution.area / self.area_step))
+        """Return the (load, area) quantization bucket of ``solution``.
+
+        Multiplies by the reciprocal step, exactly as every curve keys
+        its bucket map; dividing by the step can round the other way
+        near a half-bucket boundary.
+        """
+        return (round(solution.load * (1.0 / self.load_step)),
+                round(solution.area * (1.0 / self.area_step)))
 
 
 class SolutionCurve:
@@ -77,7 +81,7 @@ class SolutionCurve:
     """
 
     __slots__ = ("root", "config", "_by_bucket", "_pruned",
-                 "_inv_load", "_inv_area", "_numpy")
+                 "_inv_load", "_inv_area")
 
     def __init__(self, root: Point, config: Optional[CurveConfig] = None):
         self.root = root
@@ -86,7 +90,6 @@ class SolutionCurve:
         self._pruned = True
         self._inv_load = 1.0 / self.config.load_step
         self._inv_area = 1.0 / self.config.area_step
-        self._numpy = self.config.resolved_backend() == "numpy"
 
     def __len__(self) -> int:
         return len(self._by_bucket)
@@ -148,16 +151,7 @@ class SolutionCurve:
         return True
 
     def extend(self, solutions) -> int:
-        """Insert many solutions; return how many were stored.
-
-        On the numpy backend a :class:`~repro.curves.kernels.CurveSoA`
-        input is inserted as one vectorized batch (same final curve
-        state; the returned count then reflects per-bucket winners
-        rather than every transiently accepted solution).
-        """
-        if (self._numpy and isinstance(solutions, kernels.CurveSoA)
-                and len(solutions) >= kernels.EXTEND_MIN_ITEMS):
-            return kernels.batch_insert(self, solutions)
+        """Insert many solutions; return how many were stored."""
         return sum(1 for s in solutions if self.add(s))
 
     def prune(self) -> None:
@@ -173,12 +167,7 @@ class SolutionCurve:
 
     def _prune_impl(self, rec) -> None:
         before = len(self._by_bucket)
-        survivors = None
-        if self._numpy:
-            survivors = kernels.pareto_prune_items(
-                list(self._by_bucket.items()))
-        if survivors is None:
-            survivors = _pareto_prune(self._by_bucket)
+        survivors = _pareto_prune(self._by_bucket)
         if len(survivors) > self.config.max_solutions:
             survivors = _thin(survivors, self.config.max_solutions)
         self._by_bucket = dict(survivors)

@@ -55,6 +55,7 @@ import hashlib
 import json
 import math
 import signal
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from threading import Lock
@@ -87,6 +88,16 @@ DEFAULT_SHARD_THREADS = 2
 #: Longest request or header line the transport reads (asyncio's
 #: ``StreamReader`` limit); a longer one answers 400.
 MAX_HEADER_LINE_BYTES = 64 * 1024
+
+#: GIL switch interval of the ``merlin-repro serve`` process.  Cold
+#: solves run the pure-Python DP on shard threads and keep the GIL for
+#: whole switch slices, so the event loop answering a cache hit waits
+#: behind them.  On the closed-loop ``serve`` benchmark (server on one
+#: vCPU) the served p50 was ~15 ms at the default 5 ms slice, ~7 ms at
+#: 0.2 ms and ~6 ms at 0.1 ms; 0.05 ms cost throughput and cold
+#: latency.  Set by :func:`serve_async` only: :class:`AsyncShardedServer`
+#: also runs inside other processes.
+SERVE_SWITCH_INTERVAL_S = 0.0001
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             429: "Too Many Requests", 500: "Internal Server Error",
@@ -483,7 +494,8 @@ def serve_async(host: str, port: int,
 
     SIGTERM triggers a graceful drain (in-flight requests finish, new
     ones get 503 + ``Retry-After``, the disk cache tier is flushed)
-    before the process exits; Ctrl-C stays an immediate stop.
+    before the process exits; Ctrl-C stays an immediate stop.  Runs
+    with the GIL switch interval at :data:`SERVE_SWITCH_INTERVAL_S`.
     """
     owned = services is None
     if services is None:
@@ -523,9 +535,12 @@ def serve_async(host: str, port: int,
             except (asyncio.CancelledError, Exception):
                 pass
 
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL_S)
     try:
         asyncio.run(_main())
     except KeyboardInterrupt:
         pass
     finally:
+        sys.setswitchinterval(switch_interval)
         server.close(close_services=owned)

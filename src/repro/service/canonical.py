@@ -16,7 +16,7 @@ Deliberately **excluded** from the config fingerprint:
 
 * ``recorder`` — a measurement channel, not part of the problem;
 * ``workers`` — pure scheduling, results are index-collected;
-* the curve ``backend`` — the numpy and python kernels are bit-identical
+* the curve ``backend`` — the two curve kernels are bit-identical
   by contract (enforced by the bench equivalence gate), so a result
   computed on one backend is a valid cache hit for the other.
 

@@ -2,14 +2,14 @@
 
 Two families of guarantees:
 
-* **Registry** — backends register like staticcheck rules, resolve by
-  name, and degrade gracefully when NumPy is absent.
+* **Registry** — backends register like staticcheck rules and resolve
+  by name.
 * **Bit-identity** — for every registered backend, the block-level
   ``merge / join / add_buffer / relocate_round / prune / freeze``
   pipeline must equal a solution-object reference path written directly
   against :class:`~repro.curves.curve.SolutionCurve` (no kernels
   involved), on random curves.  The reference here is deliberately naive — the point
-  is that neither the deferred SoA entries nor the shadow-table skips
+  is that neither the deferred entries nor the shadow-table skips
   may change a single surviving solution, its attributes, or its
   traceback topology.
 """
@@ -58,7 +58,7 @@ def _sig(s: Solution) -> tuple:
 def _sigs(solutions) -> list:
     return [_sig(s) for s in solutions]
 
-BACKENDS = ["python", "numpy"] if contract.numpy_available() else ["python"]
+BACKENDS = ["python", "numpy"]
 
 
 def _random_solutions(rng, n, span=30, root=P):
@@ -88,8 +88,7 @@ def _buffer_params(n=6):
 def test_builtin_backends_are_registered():
     names = contract.kernel_names()
     assert "python" in names
-    if contract.numpy_available():
-        assert "numpy" in names
+    assert "numpy" in names
     for name in names:
         kernel = contract.get_kernel(name)
         assert isinstance(kernel, contract.CurveKernel)
@@ -110,13 +109,6 @@ def test_register_kernel_requires_a_name():
         @contract.register_kernel
         class Nameless(contract.CurveKernel):
             pass
-
-
-def test_numpy_request_degrades_without_numpy(monkeypatch):
-    from repro.curves import kernels
-    monkeypatch.setattr(kernels, "_np", None)
-    monkeypatch.setattr(kernels, "_fallback_logged", True)
-    assert contract.get_kernel("numpy").name == "python"
 
 
 def test_library_shadow_table_marks_same_bucket_predecessors():
@@ -188,7 +180,7 @@ def _ref_relocate(curves, geom, params) -> None:
 
 class _Geometry:
     """The candidate geometry ``relocate_round`` reads: P and Q, two
-    wire widths (so relocation streams reach the vectorized path)."""
+    wire widths."""
 
     def __init__(self):
         wire = default_technology().wire
@@ -245,8 +237,8 @@ def test_block_pipeline_matches_solution_reference(backend, seed):
     -> freeze -> merge -> freeze on kernel blocks == the naive
     Solution-object path.
 
-    Sizes are drawn to straddle the scalar/vector dispatch thresholds,
-    and the coarse load step makes several buffers share a load bucket,
+    Sizes are drawn from a handful to hundreds of entries, and the
+    coarse load step makes several buffers share a load bucket,
     so the Li & Shi shadow skip actually fires on at least one seed.
     The relocation round runs between the joined curve at P and a
     sibling curve at Q, whose blocks are frozen with one shared memo.
@@ -337,8 +329,6 @@ def test_shadow_skip_never_changes_the_curve(backend):
     assert _sigs(got) == _sigs(ref.solutions)
 
 
-@pytest.mark.skipif(not contract.numpy_available(),
-                    reason="NumPy not installed")
 @pytest.mark.parametrize("seed", [5, 7, 8])
 def test_bubble_construct_tracebacks_match_across_backends(seed):
     """The whole driver-level curve of one BUBBLE_CONSTRUCT — every

@@ -23,6 +23,16 @@ class TestCurveConfig:
         cfg = CurveConfig(load_step=2.0, area_step=50.0)
         assert cfg.bucket(sol(3.0, 0.0, 120.0)) == (2, 2)
 
+    def test_bucket_matches_the_curve_key_at_a_half_bucket_boundary(self):
+        # load / 0.7 rounds to 6666, load * (1 / 0.7) to 6665: bucket()
+        # must agree with the key the curve files the solution under.
+        cfg = CurveConfig(load_step=0.7, area_step=30.0)
+        s = sol(4665.849999999999, 0.0, 0.0)
+        curve = SolutionCurve(P, cfg)
+        curve.add(s)
+        assert cfg.bucket(s) == (6665, 0)
+        assert list(curve._by_bucket) == [cfg.bucket(s)]
+
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
             CurveConfig(load_step=0.0)

@@ -27,7 +27,6 @@ import pytest
 from repro.core.config import MerlinConfig
 from repro.core.merlin import merlin
 from repro.core.objective import Objective
-from repro.curves import kernels
 from repro.routing.export import tree_signature
 from repro.tech.technology import default_technology
 
@@ -46,12 +45,8 @@ CASES = (
 )
 
 #: Both curve-kernel backends must reproduce the same goldens — the
-#: bit-identity contract of the vectorized kernels (PR-2 tentpole).
-BACKENDS = (
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not kernels.numpy_available(), reason="NumPy not installed")),
-)
+#: bit-identity contract of the deferred kernels.
+BACKENDS = ("python", "numpy")
 
 
 def _run_case(name: str, sinks: int, seed: int,

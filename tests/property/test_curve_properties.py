@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves import kernels
+from repro.curves import contract
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import SinkLeaf, Solution
 from repro.geometry.point import Point
@@ -12,12 +12,19 @@ from repro.geometry.point import Point
 P = Point(0, 0)
 
 #: Every pruning property must hold identically on both curve-kernel
-#: backends (bit-identity contract of the vectorized kernels).
-BACKENDS = (
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not kernels.numpy_available(), reason="NumPy not installed")),
-)
+#: backends (bit-identity contract of the deferred kernels).
+BACKENDS = ("python", "numpy")
+
+
+def _pruned(backend: str, sols, **config) -> SolutionCurve:
+    """``sols`` added one by one to a live curve of ``backend``'s kernel,
+    pruned, and handed back as a :class:`SolutionCurve`."""
+    kernel = contract.get_kernel(backend)
+    curve = kernel.new_curve(P, CurveConfig(backend=backend, **config))
+    for s in sols:
+        curve.add(s)
+    kernel.prune(curve)
+    return kernel.thaw(curve)
 
 # Integer-valued attributes: the exactness property below compares the
 # bucketed curve against an un-bucketed reference, which is only a fair
@@ -49,12 +56,8 @@ def brute_force_pareto(sols):
 @given(sols=solution_lists)
 def test_prune_leaves_exactly_the_pareto_front(backend, sols):
     """With fine buckets and no cap, prune == brute-force Pareto."""
-    curve = SolutionCurve(P, CurveConfig(load_step=0.5, area_step=0.5,
-                                         max_solutions=10 ** 6,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=0.5, area_step=0.5,
+                    max_solutions=10 ** 6)
     kept = {(s.load, s.required_time, s.area) for s in curve}
     assert kept == brute_force_pareto(sols)
 
@@ -63,12 +66,8 @@ def test_prune_leaves_exactly_the_pareto_front(backend, sols):
 @settings(max_examples=100, deadline=None)
 @given(sols=solution_lists)
 def test_pruned_curve_is_mutually_non_inferior(backend, sols):
-    curve = SolutionCurve(P, CurveConfig(load_step=2.0, area_step=30.0,
-                                         max_solutions=16,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=2.0, area_step=30.0,
+                    max_solutions=16)
     assert curve.is_non_inferior_set()
 
 
@@ -77,12 +76,8 @@ def test_pruned_curve_is_mutually_non_inferior(backend, sols):
 @given(sols=solution_lists)
 def test_best_required_time_never_lost(backend, sols):
     """Lemma 9-flavored: pruning (even with cap) keeps the req optimum."""
-    curve = SolutionCurve(P, CurveConfig(load_step=5.0, area_step=50.0,
-                                         max_solutions=4,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=5.0, area_step=50.0,
+                    max_solutions=4)
     best_kept = max(s.required_time for s in curve)
     assert best_kept == max(s.required_time for s in sols)
 
@@ -92,12 +87,8 @@ def test_best_required_time_never_lost(backend, sols):
 @given(sols=solution_lists)
 def test_min_area_never_lost(backend, sols):
     """The area optimum survives for the variant II objective."""
-    curve = SolutionCurve(P, CurveConfig(load_step=5.0, area_step=50.0,
-                                         max_solutions=4,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=5.0, area_step=50.0,
+                    max_solutions=4)
     # Bucketing keeps the best-req representative per (load, area) bucket,
     # so the minimum surviving area is within one bucket of the true one.
     assert min(s.area for s in curve) <= min(s.area for s in sols) + 50.0
@@ -107,12 +98,8 @@ def test_min_area_never_lost(backend, sols):
 @settings(max_examples=100, deadline=None)
 @given(sols=solution_lists)
 def test_capacity_cap_respected(backend, sols):
-    curve = SolutionCurve(P, CurveConfig(load_step=1e-6, area_step=1e-6,
-                                         max_solutions=5,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=1e-6, area_step=1e-6,
+                    max_solutions=5)
     assert len(curve) <= 5
 
 
@@ -120,12 +107,8 @@ def test_capacity_cap_respected(backend, sols):
 @settings(max_examples=100, deadline=None)
 @given(sols=solution_lists)
 def test_prune_idempotent(backend, sols):
-    curve = SolutionCurve(P, CurveConfig(load_step=3.0, area_step=40.0,
-                                         max_solutions=8,
-                                         backend=backend))
-    for s in sols:
-        curve.add(s)
-    curve.prune()
+    curve = _pruned(backend, sols, load_step=3.0, area_step=40.0,
+                    max_solutions=8)
     first = sorted(s.key() for s in curve)
     curve.prune()
     assert sorted(s.key() for s in curve) == first

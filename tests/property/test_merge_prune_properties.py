@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves import kernels
+from repro.curves import contract
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.ops import (
     buffer_solution,
@@ -48,12 +48,8 @@ FINE = CurveConfig(load_step=0.5, area_step=0.5, max_solutions=10 ** 6)
 COARSE = CurveConfig(load_step=4.0, area_step=50.0, max_solutions=6)
 
 #: Every merge/prune property must hold identically on both curve-kernel
-#: backends (bit-identity contract of the vectorized kernels).
-BACKENDS = (
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not kernels.numpy_available(), reason="NumPy not installed")),
-)
+#: backends (bit-identity contract of the deferred kernels).
+BACKENDS = ("python", "numpy")
 
 
 def _with_backend(config: CurveConfig, backend: str) -> CurveConfig:
@@ -61,11 +57,14 @@ def _with_backend(config: CurveConfig, backend: str) -> CurveConfig:
 
 
 def _pruned_curve(sols, config, backend: str = "python") -> SolutionCurve:
-    curve = SolutionCurve(P, _with_backend(config, backend))
+    """``sols`` merged into a live curve of ``backend``'s kernel, pruned,
+    and handed back as a :class:`SolutionCurve`."""
+    kernel = contract.get_kernel(backend)
+    curve = kernel.new_curve(P, _with_backend(config, backend))
     for s in sols:
         curve.add(s)
-    curve.prune()
-    return curve
+    kernel.prune(curve)
+    return kernel.thaw(curve)
 
 
 def _curve_contents(curve: SolutionCurve):
@@ -96,12 +95,10 @@ def test_merge_then_prune_keeps_best_required_time(backend, lefts, rights):
         assert max(s.required_time for s in curve) == best
 
 
-@pytest.mark.skipif(not kernels.numpy_available(),
-                    reason="NumPy not installed")
 @settings(max_examples=150, deadline=None)
 @given(lefts=solution_lists, rights=solution_lists)
 def test_backends_agree_on_curve_contents(lefts, rights):
-    """The numpy backend's pruned curve is *identical* to python's —
+    """The deferred backend's pruned curve is *identical* to python's —
     same buckets, same solutions, same dict order."""
     merged = list(join_curves(lefts, rights))
     for config in (FINE, COARSE):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +15,6 @@ from tests.conftest import build_net
 from repro.core.config import MerlinConfig
 from repro.core.merlin import merlin
 from repro.core.objective import Objective
-from repro.curves import kernels
 from repro.routing.export import tree_signature
 from repro.service import OptimizationService, ResultCache
 from repro.tech.technology import default_technology
@@ -181,31 +182,58 @@ def test_facade_is_exported_at_top_level():
 def test_config_backend_none_keeps_curve_backend():
     config = MerlinConfig.test_preset()
     assert config.backend is None
-    expected = "numpy" if kernels.numpy_available() else "python"
-    assert config.curve.backend == expected
-    assert MerlinConfig().curve.resolved_backend() == expected
+    assert config.curve.backend == "numpy"
+    assert MerlinConfig().curve.resolved_backend() == "numpy"
 
 
-def test_default_backend_without_numpy_is_python_and_silent(monkeypatch,
-                                                            caplog):
-    """With NumPy absent the default names python outright, so it never
-    takes the numpy-requested fallback or logs its warning."""
-    monkeypatch.setattr(kernels, "_np", None)
-    monkeypatch.setattr(kernels, "_fallback_logged", False)
-    with caplog.at_level("WARNING", logger="repro.curves.kernels"):
-        config = MerlinConfig()
-        assert config.curve.backend == "python"
-        assert config.curve.resolved_backend() == "python"
-        assert MerlinConfig.test_preset().curve.resolved_backend() == "python"
-    assert not caplog.records
+#: Run in a fresh interpreter: ``import repro`` and a 3-sink optimize on
+#: the default backend and on python; argv[1] == "blocked" makes every
+#: ``import numpy`` raise first.
+_NUMPY_PROBE = """
+import json
+import sys
+
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import repro
+from repro.core.config import MerlinConfig
+from repro.experiments.nets import make_experiment_net
+
+net = make_experiment_net("np3", 3, seed=1)
+config = MerlinConfig.test_preset()
+default = repro.optimize(net, config=config)
+python = repro.optimize(net, config=config.with_(backend="python"))
+print(json.dumps({
+    "numpy_loaded": sys.modules.get("numpy") is not None,
+    "backend": config.curve.backend,
+    "resolved": config.curve.resolved_backend(),
+    "default_signature": default.signature,
+    "python_signature": python.signature,
+}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["importable", "blocked"])
+def test_runtime_never_imports_numpy_and_runs_without_it(mode):
+    """The program never imports NumPy; with its import blocked the
+    default backend is still ``"numpy"`` and gives python's tree."""
+    repro_root = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, mode],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": repro_root})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["numpy_loaded"] is False
+    assert report["backend"] == report["resolved"] == "numpy"
+    assert report["default_signature"] == report["python_signature"]
 
 
 def test_config_backend_normalizes_into_curve():
     config = MerlinConfig.test_preset().with_(backend="python")
     assert config.curve.backend == "python"
-    if kernels.numpy_available():
-        fast = MerlinConfig.test_preset().with_(backend="numpy")
-        assert fast.curve.backend == "numpy"
+    fast = MerlinConfig.test_preset().with_(backend="numpy")
+    assert fast.curve.backend == "numpy"
 
 
 def test_config_backend_overrides_curve_setting():

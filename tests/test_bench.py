@@ -15,7 +15,6 @@ import pytest
 
 from repro import bench
 from repro.core.config import MerlinConfig
-from repro.curves import kernels
 
 TINY_CASE = {
     "name": "tiny4",
@@ -41,8 +40,7 @@ TINY_CLOSURE = {
     "batch": None,
 }
 
-BACKENDS = ["python", "numpy"] if kernels.numpy_available() \
-    else ["python"]
+BACKENDS = ["python", "numpy"]
 
 
 def test_engine_case_schema_and_equivalence():
@@ -54,9 +52,8 @@ def test_engine_case_schema_and_equivalence():
         assert run["wall_s"] > 0
         assert run["signature"]
         assert "counters" in run["instrument"]
-    if kernels.numpy_available():
-        assert result["runs"]["numpy"]["resolved_backend"] == "numpy"
-        assert result["numpy_speedup"] > 0
+    assert result["runs"]["numpy"]["resolved_backend"] == "numpy"
+    assert result["numpy_speedup"] > 0
 
 
 def test_parallel_case_worker_invariance():
