@@ -578,10 +578,12 @@ def compare_to_baseline(current: Dict[str, Any], baseline: Dict[str, Any],
     return failures
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the bench suite's arguments on ``parser`` (shared by
-    ``python -m repro.bench`` and the ``merlin-repro bench``
-    subcommand)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The arguments of ``python -m repro.bench`` (``merlin-repro bench``
+    hands its argv to :func:`main`)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="MERLIN pinned benchmark suite")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized subset (small net, seconds not "
                              "minutes)")
@@ -608,6 +610,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile-format", choices=["text", "json"],
                         default="text",
                         help="profile report format (default text)")
+    return parser
 
 
 def profile_rows(profiler, top: int) -> List[Dict[str, Any]]:
@@ -649,28 +652,15 @@ def _emit_profile(profiler, top: int, fmt: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="MERLIN pinned benchmark suite")
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv), parser)
-
-
-def run_from_args(args, parser: Optional[argparse.ArgumentParser] = None,
-                  ) -> int:
-    def _error(message: str) -> int:
-        if parser is not None:
-            parser.error(message)  # raises SystemExit
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.backends:
         backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     else:
         backends = list(contract.BACKENDS)
     for backend in backends:
         if backend not in contract.BACKENDS:
-            return _error(f"unknown backend {backend!r}")
+            parser.error(f"unknown backend {backend!r}")  # exits 2
     worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
 
     profiler = None

@@ -19,7 +19,9 @@ Usage (after ``pip install -e .``)::
     merlin-repro bench [--quick] [--backends LIST] [--baseline FILE]
                        [--profile N [--profile-format json]]
 
-``python -m repro ...`` is equivalent.
+``python -m repro ...`` is equivalent.  ``check`` and ``bench`` own
+their parsers: ``main`` hands them the rest of argv, so no other
+subcommand imports the analyzer or the bench harness.
 
 ``--backend`` and ``--workers`` are thin overrides of the
 ``MerlinConfig.backend`` / ``MerlinConfig.workers`` fields — library
@@ -43,6 +45,16 @@ _BACKEND_HELP = ("curve-kernel backend override (default: the config's "
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["check"]:
+        from repro.staticcheck.cli import run_cli
+
+        return run_cli(argv[1:])
+    if argv[:1] == ["bench"]:
+        from repro.bench import main as bench_main
+
+        return bench_main(argv[1:])
+
     parser = argparse.ArgumentParser(
         prog="merlin-repro",
         description="MERLIN (DAC 1999) reproduction experiment driver")
@@ -237,25 +249,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "completed iterations replay bit-identically "
                             "and the loop continues from the crash point")
 
-    p_chk = sub.add_parser(
-        "check", help="run the domain static analyzer "
-                      "(determinism / pool-safety / numerics / layering)")
-    from repro.staticcheck.cli import add_arguments as _add_check_arguments
-
-    _add_check_arguments(p_chk)
-
-    p_bench = sub.add_parser(
-        "bench", help="pinned benchmark suite with equivalence + timing "
-                      "gates (same flags as python -m repro.bench)")
-    from repro.bench import add_arguments as _add_bench_arguments
-
-    _add_bench_arguments(p_bench)
+    # Listed for --help only: main() dispatched both above.
+    sub.add_parser("check", help="run the domain static analyzer "
+                                 "(determinism / pool-safety / numerics "
+                                 "/ layering)")
+    sub.add_parser("bench", help="pinned benchmark suite with equivalence "
+                                 "+ timing gates (same flags as python -m "
+                                 "repro.bench)")
 
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return _run_check(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "table1":
         return _run_table1(args)
     if args.command == "table2":
@@ -269,18 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "closure":
         return _run_closure(args)
     return _run_ablation(args)
-
-
-def _run_check(args) -> int:
-    from repro.staticcheck.cli import run_from_args
-
-    return run_from_args(args)
-
-
-def _run_bench(args) -> int:
-    from repro.bench import run_from_args
-
-    return run_from_args(args)
 
 
 def _run_table1(args) -> int:

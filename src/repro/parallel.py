@@ -1,12 +1,12 @@
-"""Process-parallel outer search: multi-seed starts and multi-net batches.
+"""Process-parallel outer search: multi-seed starts.
 
 The MERLIN engine is a deterministic, single-threaded function of
 ``(net, initial order, config)``.  What *is* embarrassingly parallel is
 the outer search around it: restarting from several initial sink orders
 (the paper's E4 ablation shows the local search is robust to the start,
-but restarts still hedge against bad local optima) and optimizing many
-nets of a design at once.  This module fans those whole-run units across
-a ``ProcessPoolExecutor``.
+but restarts still hedge against bad local optima).  This module fans
+those whole-run units across a ``ProcessPoolExecutor``; batches of
+distinct nets go through ``OptimizationService.optimize_many``.
 
 Determinism is preserved by construction:
 
@@ -186,26 +186,6 @@ def run_multi_start(net: Net, tech: Technology,
         ParallelTask(net=net, tech=tech, config=config,
                      objective=objective, initial_order=order, label=label)
         for label, order in multi_start_orders(net, seeds)
-    ]
-    return run_tasks(tasks, workers=workers)
-
-
-def run_batch(nets: Sequence[Net], tech: Technology,
-              config: Optional[MerlinConfig] = None,
-              objective: Optional[Objective] = None,
-              workers: Optional[int] = None) -> ParallelOutcome:
-    """Optimize many nets independently (one task per net).
-
-    ``outcome.results[i]`` corresponds to ``nets[i]``; ``outcome.best``
-    is the lowest-cost net and mostly only meaningful for homogeneous
-    sweeps — the per-net results are the real product here.
-    """
-    config = config or MerlinConfig()
-    objective = objective or Objective.max_required_time()
-    tasks = [
-        ParallelTask(net=net, tech=tech, config=config,
-                     objective=objective, label=net.name)
-        for net in nets
     ]
     return run_tasks(tasks, workers=workers)
 

@@ -27,13 +27,13 @@ warm process pool — the coding patterns those invariants depend on:
   other side of the string.
 
 The engine is stdlib-``ast`` only (no new dependencies) and analyzes
-in two phases: per-file facts collected behind a content-hash
-incremental cache (``.staticcheck-cache.json``), then whole-program
-passes over the merged fact base.  It runs as
+in two phases: each file is parsed and walked once into per-file facts
+and per-module findings, then whole-program passes run over the merged
+fact base.  It runs as
 ``merlin-repro check [--format json] [--rules ...] [paths]``.  Inline
-suppressions use ``# staticcheck: ignore[RULE-ID]`` comments; project
-defaults live in the ``[tool.staticcheck]`` block of ``pyproject.toml``;
-a committed ``staticcheck-baseline.json`` ratchets tolerated findings.
+suppressions use ``# staticcheck: ignore[RULE-ID]`` comments, and
+``SUP-UNUSED`` flags the ones that suppress nothing; project defaults
+live in the ``[tool.staticcheck]`` block of ``pyproject.toml``.
 """
 
 from __future__ import annotations

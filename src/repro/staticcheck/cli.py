@@ -1,14 +1,10 @@
 """The ``merlin-repro check`` subcommand implementation.
 
 Kept out of :mod:`repro.cli` so the analyzer stays importable and
-testable on its own (and so the top-level CLI keeps its lazy-import
-discipline).
-
-The CLI is where the incremental cache and the ratchet baseline turn
-on: ``run_check`` defaults both off at the library level, while
-``merlin-repro check`` caches to ``.staticcheck-cache.json`` next to
-the loaded ``pyproject.toml`` and honors a committed
-``staticcheck-baseline.json`` when one exists.
+testable on its own: ``merlin-repro check ARGS`` hands ``ARGS`` to
+:func:`run_cli`, so no other subcommand imports the analyzer.  The
+CLI reads ``[tool.staticcheck]`` from the nearest ``pyproject.toml``
+and writes nothing but the report (stdout, plus ``--output FILE``).
 """
 
 from __future__ import annotations
@@ -32,8 +28,10 @@ from repro.staticcheck.engine import (
 import repro.staticcheck.rules  # noqa: F401
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``check`` arguments (shared with the repro CLI)."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="merlin-repro check",
+        description="MERLIN-reproduction domain static analyzer")
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to analyze (default: src/repro)")
@@ -53,21 +51,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-config", action="store_true",
         help="ignore [tool.staticcheck] (run every rule, no excludes)")
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental cache file (default: .staticcheck-cache.json "
-             "next to pyproject.toml)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental fact cache for this run")
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="ratchet baseline to tolerate (default: "
-             "staticcheck-baseline.json next to pyproject.toml, when "
-             "present)")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0")
+    return parser
 
 
 def _select_rules(args, config: CheckConfig):
@@ -88,30 +72,8 @@ def _select_rules(args, config: CheckConfig):
     return rules, None
 
 
-def _cache_path(args, config: CheckConfig) -> Optional[str]:
-    if args.no_cache:
-        return None
-    if args.cache:
-        return args.cache
-    if config.root:
-        from repro.staticcheck.cache import CACHE_BASENAME
-        return os.path.join(config.root, CACHE_BASENAME)
-    return None
-
-
-def _baseline_path(args, config: CheckConfig,
-                   for_update: bool = False) -> Optional[str]:
-    if args.baseline:
-        return args.baseline
-    if config.root:
-        from repro.staticcheck.baseline import BASELINE_BASENAME
-        candidate = os.path.join(config.root, BASELINE_BASENAME)
-        if for_update or os.path.exists(candidate):
-            return candidate
-    return None
-
-
-def run_from_args(args) -> int:
+def run_cli(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.id:17s} {rule.title}")
@@ -129,25 +91,8 @@ def run_from_args(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        from repro.staticcheck.baseline import write_baseline
-        target = _baseline_path(args, config, for_update=True)
-        if target is None:
-            print("error: no baseline path (pass --baseline FILE or "
-                  "run inside a pyproject tree)", file=sys.stderr)
-            return 2
-        result = run_check(paths, rules=rules, exclude=config.exclude,
-                           config_root=config.root,
-                           cache_path=_cache_path(args, config))
-        count = write_baseline(target, result.findings,
-                               config_root=config.root)
-        print(f"wrote {count} finding(s) to {target}")
-        return 0
-
     result = run_check(paths, rules=rules, exclude=config.exclude,
-                       config_root=config.root,
-                       cache_path=_cache_path(args, config),
-                       baseline_path=_baseline_path(args, config))
+                       config_root=config.root)
     report = (render_json(result) if args.format == "json"
               else render_text(result))
     if args.output:
@@ -161,14 +106,6 @@ def run_from_args(args) -> int:
             return 2
     print(report)
     return result.exit_code
-
-
-def run_cli(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="merlin-repro check",
-        description="MERLIN-reproduction domain static analyzer")
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,21 +8,16 @@ async contract passes, which need every file's facts at once.
 
 The driver runs in two phases:
 
-* **Phase 1** — each file is hashed (sha256 of its bytes); a hit in the
-  incremental cache (:mod:`repro.staticcheck.cache`) replays the file's
-  stored :class:`~repro.staticcheck.facts.FileFacts` and pre-computed
-  per-module findings without re-parsing.  Misses are parsed and
-  analyzed serially; every registered module rule runs on a miss (not
-  just the selected ones) so a later narrowed run still hits the
-  cache.
+* **Phase 1** — each file is parsed once, serially, and its node list
+  (one ``ast.walk``, kept on :class:`ModuleInfo`) is shared by the fact
+  collectors and the selected per-module rules.
 * **Phase 2** — project rules run over the merged fact base, then the
-  engine-level passes: ``SUP-UNUSED`` (suppression comments that no
-  longer suppress anything) and the ratchet baseline filter
-  (:mod:`repro.staticcheck.baseline`).
+  engine-level ``SUP-UNUSED`` pass (suppression comments that no
+  longer suppress anything).
 
 Exit-code semantics (used by the CLI and CI):
 
-* ``0`` — no unsuppressed, unbaselined findings,
+* ``0`` — no unsuppressed findings,
 * ``1`` — at least one finding,
 * ``2`` — usage or I/O error (unknown rule id, unreadable path).
 """
@@ -31,7 +26,6 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-import hashlib
 import json
 import os
 import re
@@ -86,14 +80,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(path=str(data["path"]), line=int(data["line"]),  # type: ignore[arg-type]
-                   col=int(data["col"]),  # type: ignore[arg-type]
-                   rule_id=str(data["rule"]),
-                   message=str(data["message"]),
-                   severity=str(data.get("severity", "error")))
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule_id} {self.message}")
@@ -106,6 +92,9 @@ class ModuleInfo:
     path: str                      # path as reported in findings
     source: str
     tree: ast.Module
+    #: ``list(ast.walk(tree))``, walked once at parse time: rules and
+    #: fact collectors that scan the whole file iterate this list.
+    nodes: List[ast.AST]
     #: Dotted module name when the file resolves under a ``repro``
     #: source root (or carries a ``# staticcheck: module=`` override),
     #: else None.  ``repro/curves/__init__.py`` → ``repro.curves``.
@@ -127,8 +116,8 @@ class ModuleInfo:
 
     def facts(self) -> FileFacts:
         """Phase-1 fact summary of this module."""
-        return collect_facts(self.tree, self.path, self.module,
-                             self.package, self.suppressions)
+        return collect_facts(self.tree, self.nodes, self.path,
+                             self.module, self.package, self.suppressions)
 
 
 class Rule:
@@ -188,12 +177,6 @@ def all_rules() -> List[Rule]:
 
 def get_rule(rule_id: str) -> Rule:
     return _REGISTRY[rule_id]
-
-
-def module_rule_ids() -> List[str]:
-    """Ids of the per-module rules (the cacheable phase-1 set)."""
-    return [r.id for r in all_rules()
-            if not isinstance(r, (ProjectRule, EnginePass))]
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +267,7 @@ def parse_module(path: str, source: Optional[str] = None,
         path=display_path or path,
         source=source,
         tree=tree,
+        nodes=list(ast.walk(tree)),
         module=module,
         package=_package_of(module),
         suppressions=_scan_suppressions(source),
@@ -367,117 +351,49 @@ def collect_modules(paths: Sequence[str],
 
 
 # ----------------------------------------------------------------------
-# Phase 1: per-file analysis (cacheable unit)
+# Phase 1: per-file analysis
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class FileAnalysis:
     """Everything phase 2 needs from one file: its facts plus the
-    pre-suppression findings of *every* per-module rule (keyed by rule
-    id, so narrowed runs replay from cache too)."""
+    pre-suppression findings of the per-module rules that ran (or its
+    one ``PARSE-ERROR``)."""
 
-    path: str                                   # display path
-    sha256: str
+    path: str
     facts: Optional[FileFacts]                  # None on parse error
-    findings: Dict[str, List[Finding]]
-    error: Optional[Finding] = None             # PARSE-ERROR
-    from_cache: bool = False
-
-    def to_cache_dict(self) -> Dict[str, object]:
-        return {
-            "sha256": self.sha256,
-            "display": self.path,
-            "facts": None if self.facts is None else self.facts.to_dict(),
-            "findings": {
-                rule_id: [f.to_dict() for f in items]
-                for rule_id, items in sorted(self.findings.items())},
-            "error": None if self.error is None else self.error.to_dict(),
-        }
-
-    @classmethod
-    def from_cache_dict(cls, data: Dict[str, object]) -> "FileAnalysis":
-        facts_data = data.get("facts")
-        error_data = data.get("error")
-        return cls(
-            path=str(data["display"]),
-            sha256=str(data["sha256"]),
-            facts=(None if facts_data is None
-                   else FileFacts.from_dict(facts_data)),  # type: ignore[arg-type]
-            findings={
-                rule_id: [Finding.from_dict(f) for f in items]
-                for rule_id, items
-                in data.get("findings", {}).items()},  # type: ignore[union-attr]
-            error=(None if error_data is None
-                   else Finding.from_dict(error_data)),  # type: ignore[arg-type]
-            from_cache=True,
-        )
+    findings: List[Finding]
 
 
-def file_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _parse_error(path: str, message: str, line: int = 1,
+                 col: int = 0) -> FileAnalysis:
+    return FileAnalysis(path=path, facts=None, findings=[Finding(
+        path=path, line=line, col=col, rule_id="PARSE-ERROR",
+        message=message)])
 
 
-def analyze_file(path: str, source: Optional[str] = None,
-                 digest: Optional[str] = None) -> FileAnalysis:
-    """Parse one file, collect facts, run every per-module rule."""
-    if source is None:
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            return FileAnalysis(
-                path=path, sha256="", facts=None, findings={},
-                error=Finding(path=path, line=1, col=0,
-                              rule_id="PARSE-ERROR",
-                              message=f"could not read: {exc}"))
-        digest = file_digest(raw)
-        try:
-            source = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return FileAnalysis(
-                path=path, sha256=digest, facts=None, findings={},
-                error=Finding(path=path, line=1, col=0,
-                              rule_id="PARSE-ERROR",
-                              message=f"could not decode: {exc}"))
-    elif digest is None:
-        digest = file_digest(source.encode("utf-8"))
+def analyze_file(path: str, rules: Sequence[Rule]) -> FileAnalysis:
+    """Parse one file, collect its facts, run the per-module ``rules``
+    that apply to it."""
     try:
-        module = parse_module(path, source=source)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        return _parse_error(path, f"could not read: {exc}")
+    try:
+        module = parse_module(path, source=raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        return _parse_error(path, f"could not decode: {exc}")
     except SyntaxError as exc:
-        return FileAnalysis(
-            path=path, sha256=digest, facts=None, findings={},
-            error=Finding(path=path, line=exc.lineno or 1,
-                          col=exc.offset or 0, rule_id="PARSE-ERROR",
-                          message=f"could not parse: {exc.msg}"))
-    findings: Dict[str, List[Finding]] = {}
-    for rule in all_rules():
-        if isinstance(rule, (ProjectRule, EnginePass)):
-            continue
-        if not rule.applies_to(module):
-            continue
-        found = list(rule.check_module(module))
-        if found:
-            findings[rule.id] = sorted(found)
-    return FileAnalysis(path=path, sha256=digest, facts=module.facts(),
+        return _parse_error(path, f"could not parse: {exc.msg}",
+                            line=exc.lineno or 1, col=exc.offset or 0)
+    findings: List[Finding] = []
+    for rule in rules:
+        if rule.applies_to(module):
+            findings.extend(rule.check_module(module))
+    return FileAnalysis(path=path, facts=module.facts(),
                         findings=findings)
-
-
-def _analyze_files(files: Sequence[str],
-                   cache: Optional["Cache"],
-                   ) -> Tuple[List[FileAnalysis], int, int]:
-    """Phase 1 over all files, in order: cache replay for clean hits,
-    parse/analyze for the misses."""
-    ordered: List[FileAnalysis] = []
-    hits = 0
-    for path in files:
-        entry = cache.lookup(path) if cache is not None else None
-        if entry is None:
-            entry = analyze_file(path)
-        else:
-            hits += 1
-        ordered.append(entry)
-    return ordered, hits, len(files) - hits
 
 
 # ----------------------------------------------------------------------
@@ -492,10 +408,6 @@ class CheckResult:
     findings: List[Finding]
     files_checked: int
     rules_run: List[str]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Findings filtered out by the ratchet baseline.
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -555,25 +467,14 @@ def _suppression_pass(analyses: Sequence[FileAnalysis],
 def run_check(paths: Sequence[str],
               rules: Optional[Sequence[Rule]] = None,
               exclude: Sequence[str] = (),
-              config_root: Optional[str] = None,
-              cache_path: Optional[str] = None,
-              baseline_path: Optional[str] = None) -> CheckResult:
-    """Run ``rules`` (default: all registered) over ``paths``.
-
-    ``cache_path`` enables the incremental fact cache (off by default
-    at the library level; the CLI turns it on).  ``baseline_path``
-    filters findings recorded in the ratchet baseline.
-    """
-    from repro.staticcheck.cache import Cache  # deferred: avoid cycle
+              config_root: Optional[str] = None) -> CheckResult:
+    """Run ``rules`` (default: all registered) over ``paths``."""
     selected = list(rules) if rules is not None else all_rules()
     selected_ids = {r.id for r in selected}
-
-    files = expand_paths(paths, exclude, config_root)
-    cache = Cache.load(cache_path) if cache_path else None
-    analyses, cache_hits, cache_misses = _analyze_files(files, cache)
-    if cache is not None:
-        cache.update(analyses)
-        cache.save()
+    module_rules = [r for r in selected
+                    if not isinstance(r, (ProjectRule, EnginePass))]
+    analyses = [analyze_file(path, module_rules)
+                for path in expand_paths(paths, exclude, config_root)]
 
     findings: List[Finding] = []
     used: Set[Tuple[str, int]] = set()
@@ -586,20 +487,12 @@ def run_check(paths: Sequence[str],
             return
         findings.append(finding)
 
-    fact_list: List[FileFacts] = []
     for analysis in analyses:
-        if analysis.error is not None:
-            findings.append(analysis.error)
-        if analysis.facts is None:
-            continue
-        fact_list.append(analysis.facts)
-        for rule_id in sorted(analysis.findings):
-            if rule_id not in selected_ids:
-                continue
-            for finding in analysis.findings[rule_id]:
-                _admit(finding, analysis.facts)
+        for finding in analysis.findings:
+            _admit(finding, analysis.facts)
 
-    project = ProjectFacts(fact_list)
+    project = ProjectFacts([analysis.facts for analysis in analyses
+                            if analysis.facts is not None])
     for rule in selected:
         if not isinstance(rule, ProjectRule):
             continue
@@ -618,17 +511,9 @@ def run_check(paths: Sequence[str],
                     continue
             findings.append(finding)
 
-    baselined = 0
-    if baseline_path:
-        from repro.staticcheck.baseline import Baseline
-        baseline = Baseline.load(baseline_path)
-        findings, baselined = baseline.filter(findings, config_root)
-
     findings.sort()
     return CheckResult(findings=findings, files_checked=len(analyses),
-                       rules_run=[r.id for r in selected],
-                       cache_hits=cache_hits, cache_misses=cache_misses,
-                       baselined=baselined)
+                       rules_run=[r.id for r in selected])
 
 
 # ----------------------------------------------------------------------
@@ -639,21 +524,14 @@ def run_check(paths: Sequence[str],
 def render_text(result: CheckResult) -> str:
     lines = [finding.render() for finding in result.findings]
     noun = "finding" if len(result.findings) == 1 else "findings"
-    summary = (f"{len(result.findings)} {noun} "
-               f"({result.files_checked} files checked")
-    if result.cache_hits or result.cache_misses:
-        summary += (f", cache: {result.cache_hits} hit(s) / "
-                    f"{result.cache_misses} miss(es)")
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
-    summary += ")"
-    lines.append(summary)
+    lines.append(f"{len(result.findings)} {noun} "
+                 f"({result.files_checked} files checked)")
     return "\n".join(lines)
 
 
 #: Bump only on a breaking change to the JSON document shape; tests pin
-#: the schema.  v2 added "cache" and "baselined".
-JSON_SCHEMA_VERSION = 2
+#: the schema.  v3 dropped v2's "cache" and "baselined".
+JSON_SCHEMA_VERSION = 3
 
 
 def render_json(result: CheckResult) -> str:
@@ -662,9 +540,6 @@ def render_json(result: CheckResult) -> str:
         "files_checked": result.files_checked,
         "rules_run": result.rules_run,
         "counts": result.counts(),
-        "cache": {"hits": result.cache_hits,
-                  "misses": result.cache_misses},
-        "baselined": result.baselined,
         "findings": [finding.to_dict() for finding in result.findings],
     }
     return json.dumps(document, indent=2, sort_keys=True)

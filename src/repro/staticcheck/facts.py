@@ -7,16 +7,14 @@ expressed as plain data: unresolved import statements, async-function
 names, statement-expression calls, ``fault_point`` site definitions and
 ``FaultSpec``/plan-dict site references, instrument metric definitions /
 emits / reads, kernel- and ordering-registry definitions and lookups,
-and the inline-suppression map.  Facts are JSON-serializable, so the
-incremental cache (:mod:`repro.staticcheck.cache`) can persist them and
-a warm run can feed phase 2 without re-parsing unchanged files.
+and the inline-suppression map.  Collectors that scan the whole file
+iterate the module's shared node list (one ``ast.walk`` per file).
 
-Everything here must stay *context-free*: a fact may only depend on the
-file's own bytes (plus its derived module name), never on which other
-files are in the run — that is what makes per-file caching sound.
-Resolution against the rest of the project (e.g. ``from repro.curves
-import kernels`` → submodule vs package ``__init__``) happens in
-phase 2, over the merged fact base.
+Everything here stays *context-free*: a fact depends only on the file's
+own bytes (plus its derived module name), never on which other files
+are in the run.  Resolution against the rest of the project (e.g.
+``from repro.curves import kernels`` → submodule vs package
+``__init__``) happens in phase 2, over the merged fact base.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -34,17 +31,13 @@ from typing import (
     Tuple,
 )
 
-#: Bump whenever the fact schema (or any collector's semantics) changes;
-#: the cache treats entries from another version as misses.
-FACTS_VERSION = 1
-
 #: Attribute names that *emit* a metric when called with the name as the
 #: first argument: the recorder interface itself plus the thin
 #: ``_record*``-style wrappers front ends keep around their lock.
 EMIT_CALL_ATTRS = frozenset({"incr", "record", "event", "span"})
 
 #: String literals longer than this cannot be metric names / registry
-#: keys and are not worth caching.
+#: keys and are not worth collecting.
 _MAX_LITERAL_LEN = 80
 
 #: The dotted module whose module-level string constants form the
@@ -64,21 +57,6 @@ class RawImport:
     lazy: bool                # inside a function/lambda body
     type_only: bool           # inside an `if TYPE_CHECKING:` block
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "module": self.module,
-            "names": list(self.names), "level": self.level,
-            "line": self.line, "lazy": self.lazy,
-            "type_only": self.type_only,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RawImport":
-        return cls(kind=data["kind"], module=data["module"],
-                   names=tuple(data["names"]), level=data["level"],
-                   line=data["line"], lazy=data["lazy"],
-                   type_only=data["type_only"])
-
 
 @dataclass(frozen=True)
 class StmtCall:
@@ -89,15 +67,6 @@ class StmtCall:
     dotted: Optional[str]     # full dotted chain when derivable
     line: int
     in_async: bool            # lexically inside an `async def`
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "dotted": self.dotted,
-                "line": self.line, "in_async": self.in_async}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StmtCall":
-        return cls(name=data["name"], dotted=data["dotted"],
-                   line=data["line"], in_async=data["in_async"])
 
 
 @dataclass
@@ -148,61 +117,6 @@ class FileFacts:
             return False
         ids = self.suppressions[line]
         return ids is None or rule_id in ids
-
-    # -- (de)serialization for the incremental cache --------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "package": self.package,
-            "suppressions": {
-                str(line): (None if ids is None else sorted(ids))
-                for line, ids in self.suppressions.items()},
-            "imports": [imp.to_dict() for imp in self.imports],
-            "async_defs": list(self.async_defs),
-            "stmt_calls": [call.to_dict() for call in self.stmt_calls],
-            "fault_sites": [list(item) for item in self.fault_sites],
-            "dynamic_fault_sites": self.dynamic_fault_sites,
-            "fault_refs": [list(item) for item in self.fault_refs],
-            "metric_defs": [list(item) for item in self.metric_defs],
-            "metric_refs": [list(item) for item in self.metric_refs],
-            "metric_literal_emits": [list(item) for item
-                                     in self.metric_literal_emits],
-            "metric_imports": list(self.metric_imports),
-            "registry_defs": [list(item) for item in self.registry_defs],
-            "registry_refs": [list(item) for item in self.registry_refs],
-            "string_literals": list(self.string_literals),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            package=data["package"],
-            suppressions={
-                int(line): (None if ids is None else frozenset(ids))
-                for line, ids in data["suppressions"].items()},
-            imports=[RawImport.from_dict(d) for d in data["imports"]],
-            async_defs=tuple(data["async_defs"]),
-            stmt_calls=[StmtCall.from_dict(d) for d in data["stmt_calls"]],
-            fault_sites=[(s, line) for s, line in data["fault_sites"]],
-            dynamic_fault_sites=data["dynamic_fault_sites"],
-            fault_refs=[(s, line) for s, line in data["fault_refs"]],
-            metric_defs=[(n, v, line) for n, v, line
-                         in data["metric_defs"]],
-            metric_refs=[(n, line, bool(e)) for n, line, e
-                         in data["metric_refs"]],
-            metric_literal_emits=[(v, line) for v, line
-                                  in data["metric_literal_emits"]],
-            metric_imports=tuple(data["metric_imports"]),
-            registry_defs=[(k, n, line) for k, n, line
-                           in data["registry_defs"]],
-            registry_refs=[(k, n, line) for k, n, line
-                           in data["registry_refs"]],
-            string_literals=tuple(data["string_literals"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +197,9 @@ def collect_raw_imports(tree: ast.Module) -> List[RawImport]:
     return out
 
 
-def _collect_async(tree: ast.Module
+def _collect_async(tree: ast.Module, nodes: Sequence[ast.AST]
                    ) -> Tuple[Tuple[str, ...], List[StmtCall]]:
-    async_defs = sorted({node.name for node in ast.walk(tree)
+    async_defs = sorted({node.name for node in nodes
                          if isinstance(node, ast.AsyncFunctionDef)})
     calls: List[StmtCall] = []
     stack: List[Tuple[ast.AST, bool]] = [(tree, False)]
@@ -309,12 +223,13 @@ def _collect_async(tree: ast.Module
     return tuple(async_defs), calls
 
 
-def _collect_faults(tree: ast.Module) -> Tuple[List[Tuple[str, int]], int,
-                                               List[Tuple[str, int]]]:
+def _collect_faults(nodes: Sequence[ast.AST]
+                    ) -> Tuple[List[Tuple[str, int]], int,
+                               List[Tuple[str, int]]]:
     sites: List[Tuple[str, int]] = []
     dynamic = 0
     refs: List[Tuple[str, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Call):
             name = _callee_name(node.func)
             if name == "fault_point":
@@ -336,7 +251,8 @@ def _collect_faults(tree: ast.Module) -> Tuple[List[Tuple[str, int]], int,
     return sorted(sites), dynamic, sorted(refs)
 
 
-def _collect_metrics(tree: ast.Module, module: Optional[str]) -> Tuple[
+def _collect_metrics(tree: ast.Module, nodes: Sequence[ast.AST],
+                     module: Optional[str]) -> Tuple[
         List[Tuple[str, str, int]], List[Tuple[str, int, bool]],
         List[Tuple[str, int]], Tuple[str, ...]]:
     defs: List[Tuple[str, str, int]] = []
@@ -355,7 +271,7 @@ def _collect_metrics(tree: ast.Module, module: Optional[str]) -> Tuple[
     # they sit in the first-argument slot of an emit call.
     emit_positions = set()
     literal_emits: List[Tuple[str, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         attr = _callee_name(node.func)
@@ -374,7 +290,7 @@ def _collect_metrics(tree: ast.Module, module: Optional[str]) -> Tuple[
             literal_emits.append((first.value, first.lineno))
 
     refs: List[Tuple[str, int, bool]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("metric", "names")):
@@ -382,7 +298,7 @@ def _collect_metrics(tree: ast.Module, module: Optional[str]) -> Tuple[
                          id(node) in emit_positions))
 
     imports: List[str] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if (isinstance(node, ast.ImportFrom)
                 and node.module == METRIC_NAMES_MODULE):
             imports.extend(alias.name for alias in node.names)
@@ -413,11 +329,11 @@ _REGISTRY_LOOKUPS = {
 }
 
 
-def _collect_registry(tree: ast.Module) -> Tuple[
+def _collect_registry(nodes: Sequence[ast.AST]) -> Tuple[
         List[Tuple[str, str, int]], List[Tuple[str, str, int]]]:
     defs: List[Tuple[str, str, int]] = []
     refs: List[Tuple[str, str, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ClassDef):
             for deco in node.decorator_list:
                 if _callee_name(deco) == "register_kernel" or (
@@ -442,7 +358,7 @@ def _collect_registry(tree: ast.Module) -> Tuple[
                     refs.append((kind, lit[0], lit[1]))
     # `register_ordering("x")` may also decorate plain callables or be
     # called directly; count direct calls as definitions too.
-    for node in ast.walk(tree):
+    for node in nodes:
         if (isinstance(node, ast.Call)
                 and _callee_name(node.func) == "register_ordering"):
             lit = _str_arg(node, 0, keyword="name")
@@ -453,9 +369,9 @@ def _collect_registry(tree: ast.Module) -> Tuple[
     return sorted(defs), sorted(refs)
 
 
-def _collect_literals(tree: ast.Module) -> Tuple[str, ...]:
+def _collect_literals(nodes: Sequence[ast.AST]) -> Tuple[str, ...]:
     out = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if (isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and 0 < len(node.value) <= _MAX_LITERAL_LEN):
@@ -463,16 +379,17 @@ def _collect_literals(tree: ast.Module) -> Tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def collect_facts(tree: ast.Module, path: str, module: Optional[str],
-                  package: Optional[str],
+def collect_facts(tree: ast.Module, nodes: Sequence[ast.AST], path: str,
+                  module: Optional[str], package: Optional[str],
                   suppressions: Dict[int, Optional[FrozenSet[str]]],
                   ) -> FileFacts:
-    """Distill one parsed file into its :class:`FileFacts`."""
-    async_defs, stmt_calls = _collect_async(tree)
-    fault_sites, dynamic_sites, fault_refs = _collect_faults(tree)
+    """Distill one parsed file into its :class:`FileFacts`; ``nodes``
+    is ``list(ast.walk(tree))``."""
+    async_defs, stmt_calls = _collect_async(tree, nodes)
+    fault_sites, dynamic_sites, fault_refs = _collect_faults(nodes)
     metric_defs, metric_refs, literal_emits, metric_imports = \
-        _collect_metrics(tree, module)
-    registry_defs, registry_refs = _collect_registry(tree)
+        _collect_metrics(tree, nodes, module)
+    registry_defs, registry_refs = _collect_registry(nodes)
     return FileFacts(
         path=path,
         module=module,
@@ -490,7 +407,7 @@ def collect_facts(tree: ast.Module, path: str, module: Optional[str],
         metric_imports=metric_imports,
         registry_defs=registry_defs,
         registry_refs=registry_refs,
-        string_literals=_collect_literals(tree),
+        string_literals=_collect_literals(nodes),
     )
 
 

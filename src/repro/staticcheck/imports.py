@@ -13,7 +13,7 @@ edge records where it came from and whether it is
 
 Since the two-phase engine landed, collection and resolution are
 split: phase 1 records unresolved :class:`~repro.staticcheck.facts.
-RawImport` statements per file (cacheable, context-free), and this
+RawImport` statements per file (context-free), and this
 module resolves them against the run's *known module set* in phase 2 —
 ``from repro.curves import kernels`` depends on the submodule
 ``repro.curves.kernels`` when one exists in the run, else on the

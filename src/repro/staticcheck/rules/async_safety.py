@@ -190,7 +190,7 @@ class AsyncSharedMutationRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             methods = [n for n in node.body

@@ -72,7 +72,7 @@ class GlobalRandomRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if (name is not None and name.startswith("random.")
@@ -103,7 +103,7 @@ class WallClockRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -138,7 +138,7 @@ class SetOrderRule(Rule):
         hint = ("set iteration order depends on PYTHONHASHSEED; wrap the "
                 "set in sorted(...) before building ordered structure "
                 "from it")
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and _is_set_expr(node.iter):
                 findings.append(_finding(module, node.iter, self.id, hint))
             elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
@@ -187,7 +187,7 @@ class IdHashKeyRule(Rule):
                     f"run and hash() with PYTHONHASHSEED — key/order by "
                     f"stable attributes or positional indices instead"))
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if key is not None:

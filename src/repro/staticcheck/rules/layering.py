@@ -24,8 +24,7 @@ a function body is still a boundary breach; only erased
 
 All three are phase-2 passes: they consume the resolved edge list the
 merged :class:`~repro.staticcheck.facts.ProjectFacts` derives from the
-cached per-file raw imports, so a warm run enforces layering without
-re-parsing a single file.
+per-file raw imports.
 """
 
 from __future__ import annotations

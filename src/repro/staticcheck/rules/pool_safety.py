@@ -30,10 +30,8 @@ from repro.staticcheck.engine import (
 
 #: Entry points whose arguments end up pickled into worker processes.
 #: ``submit`` matches any ``<pool>.submit(fn, ...)`` attribute call;
-#: the rest are this repo's drivers (and their deprecated aliases).
-_POOL_ENTRY_NAMES = frozenset({
-    "run_multi_start", "run_batch", "optimize_many",
-})
+#: the rest are this repo's drivers.
+_POOL_ENTRY_NAMES = frozenset({"run_multi_start", "optimize_many"})
 
 
 def _is_pool_call(node: ast.Call) -> bool:
@@ -147,7 +145,7 @@ class WorkerRecorderRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call) and _is_pool_call(node)):
                 continue
             target = _call_target(node)

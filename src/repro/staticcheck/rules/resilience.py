@@ -47,7 +47,7 @@ class BareExceptRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

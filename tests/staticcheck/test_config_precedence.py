@@ -54,6 +54,16 @@ def test_no_config_ignores_pyproject_selection(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_leaves_the_checked_tree_unchanged(tmp_path, capsys):
+    # The report goes to stdout only: no cache or other state file may
+    # appear next to the pyproject.toml the config came from.
+    _project(tmp_path, 'disable = ["DET-RANDOM"]\n')
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(["check", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # ----------------------------------------------------------------------
 # Multi-id suppressions on one line
 # ----------------------------------------------------------------------

@@ -127,11 +127,9 @@ def test_syntax_error_becomes_parse_error_finding(tmp_path):
 def test_json_schema_is_stable():
     result = run_check([fixture("num_float_eq.py")])
     document = json.loads(render_json(result))
-    assert document["version"] == 2
+    assert document["version"] == 3
     assert set(document) == {"version", "files_checked", "rules_run",
-                             "counts", "findings", "cache", "baselined"}
-    assert set(document["cache"]) == {"hits", "misses"}
-    assert document["baselined"] == 0
+                             "counts", "findings"}
     assert document["files_checked"] == 1
     assert document["counts"] == {"NUM-FLOAT-EQ": 1}
     (finding,) = document["findings"]

@@ -1,7 +1,16 @@
-"""Meta: the analyzer must pass on the shipped tree, via the real CLI."""
+"""Meta: the analyzer must pass on the shipped tree, via the real CLI.
 
+The whole tree is analyzed twice per module: once as text over
+``src/repro`` and once as the CI invocation (JSON over ``src/repro``
+and ``tests`` with ``--output``), shared through ``ci_run``.
+"""
+
+import contextlib
+import io
 import json
 import os
+
+import pytest
 
 from repro.cli import main as cli_main
 
@@ -9,6 +18,22 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 TESTS = os.path.join(REPO_ROOT, "tests")
+CLEAN_FIXTURE = os.path.join(TESTS, "staticcheck", "fixtures",
+                             "suppressed.py")
+
+
+@pytest.fixture(scope="module")
+def ci_run(tmp_path_factory):
+    """``(exit code, stdout document, --output document)`` of the CI
+    invocation.  Fixtures are quarantined by the [tool.staticcheck]
+    exclude globs; everything else must be clean."""
+    target = tmp_path_factory.mktemp("ci") / "staticcheck-report.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(["check", "--format", "json",
+                         "--output", str(target), SRC, TESTS])
+    return (code, json.loads(stdout.getvalue()),
+            json.loads(target.read_text()))
 
 
 def test_shipped_tree_is_clean(capsys):
@@ -17,32 +42,17 @@ def test_shipped_tree_is_clean(capsys):
     assert "files checked" in out.strip().splitlines()[-1]
 
 
-def test_tests_tree_is_clean_too():
-    # Same invocation CI runs: fixtures are quarantined by the
-    # [tool.staticcheck] exclude globs, everything else must be clean
-    # (or absorbed by the committed ratchet baseline).
-    assert cli_main(["check", "--format", "json", SRC, TESTS]) == 0
+def test_tests_tree_is_clean_too(ci_run):
+    code, _, _ = ci_run
+    assert code == 0
 
 
-def test_ci_json_invocation_shape(capsys):
-    assert cli_main(["check", "--format", "json", SRC]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["version"] == 2
+def test_ci_json_invocation_shape(ci_run):
+    _, document, _ = ci_run
+    assert document["version"] == 3
     assert document["findings"] == []
     assert document["files_checked"] > 50
     assert len(document["rules_run"]) == 18
-    assert set(document["cache"]) == {"hits", "misses"}
-
-
-def test_warm_cli_rerun_reports_cache_hits(capsys):
-    # Two identical CLI runs back to back: the second must replay from
-    # the content-hash cache rather than re-parsing the tree.
-    assert cli_main(["check", "--format", "json", SRC]) == 0
-    capsys.readouterr()
-    assert cli_main(["check", "--format", "json", SRC]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["cache"]["hits"] == document["files_checked"]
-    assert document["cache"]["misses"] == 0
 
 
 def test_list_rules_is_sorted(capsys):
@@ -68,18 +78,15 @@ def test_missing_path_is_a_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_output_file_written_alongside_stdout(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    assert cli_main(["check", "--format", "json",
-                     "--output", str(target), SRC]) == 0
-    on_disk = json.loads(target.read_text())
-    on_stdout = json.loads(capsys.readouterr().out)
+def test_output_file_written_alongside_stdout(ci_run):
+    _, on_stdout, on_disk = ci_run
     assert on_disk == on_stdout
-    assert on_disk["version"] == 2
+    assert on_disk["version"] == 3
 
 
 def test_output_to_unwritable_path_is_an_io_error(capsys):
     assert cli_main(["check", "--format", "json",
                      "--output", os.path.join(REPO_ROOT, "no-such-dir",
-                                              "report.json"), SRC]) == 2
+                                              "report.json"),
+                     CLEAN_FIXTURE]) == 2
     assert "cannot write" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Tests for the CLI driver (fast paths only)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -114,6 +119,42 @@ class TestServeCommand:
     def test_serve_rejects_bad_preset(self):
         with pytest.raises(SystemExit):
             main(["serve", "--preset", "bogus"])
+
+    def test_serve_imports_neither_the_analyzer_nor_the_bench(self):
+        # A fresh interpreter: this suite imports both elsewhere.
+        probe = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['serve', '--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['repro', 'staticcheck'],\n"
+            "                                     ['repro', 'bench'])))\n")
+        repro_root = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": repro_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestDelegatedSubcommands:
+    """``check`` and ``bench`` parse their own argv."""
+
+    def test_help_lists_both(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "check" in out and "bench" in out
+
+    def test_check_help_prints_the_analyzer_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        out = capsys.readouterr().out
+        assert "--rules" in out and "--list-rules" in out
 
 
 class TestNetFileFlag:
