@@ -46,13 +46,14 @@ class NumpyKernel(CurveKernel):
     def relocate_round(self, curves: Sequence[kernels.PendingCurve],
                        targets: Sequence[int], geom,
                        library: KernelLibrary) -> bool:
-        snapshots = [list(curve) for curve in curves]
+        # Target-independent offer keys, computed once for the round.
+        snapshots = [kernels.relocation_snapshot(curve, library)
+                     for curve in curves]
         changed = False
         for to_idx in targets:
             if kernels.pending_relocate(
                     curves[to_idx], to_idx, snapshots, geom.wire_res,
-                    geom.wire_cap, geom.candidates, geom.wire_widths,
-                    library):
+                    geom.wire_cap, geom.candidates, geom.wire_widths):
                 changed = True
         return changed
 

@@ -8,7 +8,7 @@ a solution matters only if the solution survives to the very end of the
 DP.  That split is what this module exploits:
 
 * live curves under accumulation are :class:`PendingCurve` instances
-  whose bucket map holds lightweight ``(load, req, area, ctx, i)``
+  whose bucket map holds lightweight ``(load, area, req, ctx, i)``
   entries: the attribute triple plus a *traceback context* — ``ctx``
   describes the batch that produced the entry and ``i`` is its flat
   position inside that batch.  No :class:`Solution` (or its detail
@@ -44,9 +44,13 @@ approximate — equivalence:
   under the same rule — replace the incumbent iff the required time is
   strictly higher — so the final bucket map (contents *and* dict
   insertion order) matches.
-* The prune is ``curve._pareto_prune``'s staircase over the same
-  ``(load, area, -required_time)`` order, and the capacity thin mirrors
-  ``curve._thin``.
+* The prune keeps ``curve._pareto_prune``'s survivors in its sweep
+  order, and the capacity thin mirrors ``curve._thin``.  Every
+  insertion computes its bucket key from exactly the ``load`` and
+  ``area`` floats it stores, so ``(load, area)`` is unique within a
+  bucket map: sorting the entry tuples themselves is the reference's
+  ``(load, area, -required_time)`` order and never compares past
+  ``area``.
 * Li & Shi-style shadow skips (see :mod:`repro.curves.contract`) only
   drop a buffer offer when an earlier offer of the same source provably
   landed the same bucket key with a required time at least as high — a
@@ -77,16 +81,19 @@ def resolve_backend(requested: str) -> str:
 
 def _entry_order(t) -> Tuple[float, float, float]:
     """Freeze order of pending entries — matches ``Solution.key``."""
-    return (t[0], -t[1], t[2])
+    return (t[0], -t[2], t[1])
 
 
 # ----------------------------------------------------------------------
 # Pending entries: deferred materialization
 # ----------------------------------------------------------------------
 #
-# A pending entry is the 5-tuple ``(load, req, area, ctx, i)``.  ``ctx``
-# is None when ``i`` already is the materialized Solution; otherwise it
-# is one of:
+# A pending entry is the 5-tuple ``(load, area, req, ctx, i)``, stored
+# under the bucket key ``(round(load * inv_load), round(area * inv_area))``
+# of its own two leading floats — so no two entries of one curve share
+# ``(load, area)``, and the prune sorts entries without a key function.
+# ``ctx`` is None when ``i`` already is the materialized Solution;
+# otherwise it is one of:
 #
 #   ("join", root, lefts, rights, nb)
 #       flat i -> Join(lefts[i // nb], rights[i % nb])
@@ -132,7 +139,7 @@ def resolve_entry(entry, memo: dict) -> Solution:
         l_req = left.required_time
         r_req = right.required_time
         sol = Solution(root, entry[0], l_req if l_req < r_req else r_req,
-                       entry[2], Join(left, right))
+                       entry[1], Join(left, right))
     elif kind == "buf":
         _, _, sources, buffer_params = ctx
         si, bj = divmod(i, len(buffer_params))
@@ -140,16 +147,16 @@ def resolve_entry(entry, memo: dict) -> Solution:
         if not isinstance(src, Solution):
             src = resolve_entry(src, memo)
         params = buffer_params[bj]
-        sol = Solution(root, params[1], entry[1], entry[2],
+        sol = Solution(root, params[1], entry[2], entry[1],
                        Buffered(src, params[0]))
     elif kind == "ext1":
         _, _, src_e, length, width = ctx
         src = resolve_entry(src_e, memo)
-        sol = Solution(root, entry[0], entry[1], src.area,
+        sol = Solution(root, entry[0], entry[2], src.area,
                        Extend(src, length, width))
     else:  # "buf1"
         _, _, src_e, buffer = ctx
-        sol = Solution(root, entry[0], entry[1], entry[2],
+        sol = Solution(root, entry[0], entry[2], entry[1],
                        Buffered(resolve_entry(src_e, memo), buffer))
     memo[key] = sol
     return sol
@@ -205,8 +212,8 @@ class PendingCurve:
             req = s.required_time
             key = (round(s.load * inv_load), round(s.area * inv_area))
             incumbent = get(key)
-            if incumbent is None or incumbent[1] < req:
-                by_bucket[key] = (s.load, req, s.area, None, s)
+            if incumbent is None or incumbent[2] < req:
+                by_bucket[key] = (s.load, s.area, req, None, s)
                 stored += 1
         if stored:
             self._pruned = False
@@ -229,10 +236,16 @@ class PendingCurve:
 
     def _prune_impl(self, rec) -> None:
         before = len(self._by_bucket)
-        survivors = _pending_prune(list(self._by_bucket.items()))
+        # Plain tuple sort: (load, area) is unique per curve, so this is
+        # the reference's (load, area, -req) order.
+        survivors = _pending_prune(sorted(self._by_bucket.values()))
         if len(survivors) > self.config.max_solutions:
             survivors = _pending_thin(survivors, self.config.max_solutions)
-        self._by_bucket = dict(survivors)
+        inv_load = self._inv_load
+        inv_area = self._inv_area
+        self._by_bucket = {
+            (round(t[0] * inv_load), round(t[1] * inv_area)): t
+            for t in survivors}
         self._pruned = True
         if rec.enabled:
             kept = len(self._by_bucket)
@@ -307,8 +320,8 @@ def pending_join(curve: PendingCurve, lefts, rights) -> None:
             area = a_area + b.area
             key = (round(load * inv_load), round(area * inv_area))
             incumbent = get(key)
-            if incumbent is None or incumbent[1] < req:
-                by_bucket[key] = (load, req, area, ctx, i)
+            if incumbent is None or incumbent[2] < req:
+                by_bucket[key] = (load, area, req, ctx, i)
                 stored += 1
             i += 1
     if stored:
@@ -345,16 +358,16 @@ def pending_buffer(curve: PendingCurve, sources, lib) -> int:
         pairs = list(zip(cap_keys, buffer_params))
         for s in sources:
             if solution_sources:
-                load, req, area = s.load, s.required_time, s.area
+                load, area, req = s.load, s.area, s.required_time
             else:
-                load, req, area = s[0], s[1], s[2]
+                load, area, req = s[0], s[1], s[2]
             for ck, (buffer, input_cap, buf_area, d0, slope) in pairs:
                 new_req = req - d0 - slope * load
                 new_area = area + buf_area
                 key = (ck, round(new_area * inv_area))
                 incumbent = get(key)
-                if incumbent is None or incumbent[1] < new_req:
-                    by_bucket[key] = (input_cap, new_req, new_area, ctx, i)
+                if incumbent is None or incumbent[2] < new_req:
+                    by_bucket[key] = (input_cap, new_area, new_req, ctx, i)
                     stored += 1
                 i += 1
         if stored:
@@ -365,9 +378,9 @@ def pending_buffer(curve: PendingCurve, sources, lib) -> int:
     akeys_j = [0] * m
     for s in sources:
         if solution_sources:
-            load, req, area = s.load, s.required_time, s.area
+            load, area, req = s.load, s.area, s.required_time
         else:
-            load, req, area = s[0], s[1], s[2]
+            load, area, req = s[0], s[1], s[2]
         for bj, (buffer, input_cap, buf_area, d0,
                  slope) in enumerate(buffer_params):
             new_req = req - d0 - slope * load
@@ -386,8 +399,8 @@ def pending_buffer(curve: PendingCurve, sources, lib) -> int:
                 continue
             key = (cap_keys[bj], akey)
             incumbent = get(key)
-            if incumbent is None or incumbent[1] < new_req:
-                by_bucket[key] = (input_cap, new_req, new_area, ctx, i)
+            if incumbent is None or incumbent[2] < new_req:
+                by_bucket[key] = (input_cap, new_area, new_req, ctx, i)
                 stored += 1
             i += 1
     if stored:
@@ -395,32 +408,47 @@ def pending_buffer(curve: PendingCurve, sources, lib) -> int:
     return skipped
 
 
+def relocation_snapshot(curve: PendingCurve, lib) -> list:
+    """Snapshot ``curve`` as a relocation source for one relaxation round.
+
+    Moving an entry over a wire changes its load and required time but
+    not its area, so the area half of every offer's bucket key is the
+    same for each target and wire width.  Each snapshot item is computed
+    once per round as ``(entry, load, req, area_key, offers)``, with one
+    ``(bucket_key, input_cap, area, buffer, d0, slope)`` offer per
+    library buffer.  The curves of one round share one
+    :class:`CurveConfig`, so the keys hold for every target.
+    """
+    inv_area = curve._inv_area
+    flat = [(ck,) + p for ck, p in zip(lib.cap_keys, lib.params)]
+    snapshot = []
+    for t in curve._by_bucket.values():
+        area = t[1]
+        snapshot.append((t, t[0], t[2], round(area * inv_area), [
+            ((ck, round((b_area := area + buf_area) * inv_area)),
+             input_cap, b_area, buffer, d0, slope)
+            for ck, buffer, input_cap, buf_area, d0, slope in flat]))
+    return snapshot
+
+
 def pending_relocate(curve: PendingCurve, to_idx: int, snapshots,
-                     wire_res, wire_cap, candidates, wire_widths,
-                     lib) -> bool:
+                     wire_res, wire_cap, candidates, wire_widths) -> bool:
     """One target's relocation relaxation over every other snapshot.
 
-    The python backend's stream — sources ascending, then wire widths,
-    then snapshot entries, each offering the unbuffered move followed by
+    ``snapshots`` are :func:`relocation_snapshot` lists.  The python
+    backend's stream — sources ascending, then wire widths, then
+    snapshot entries, each offering the unbuffered move followed by
     every buffer.  Buffered offers share one deferred moved entry, like
-    the python loop shares the moved solution.  Returns True when any
-    bucket accepted an entry.
+    the python loop shares the moved solution.  No shadow skip: with the
+    bucket key precomputed it would trade one dict lookup for another
+    offer's required time, and the bucket map rejects whatever it would
+    skip.  Returns True when any bucket accepted an entry.
     """
-    buffer_params = lib.params
-    cap_keys = lib.cap_keys
     root = curve.root
     by_bucket = curve._by_bucket
     inv_load = curve._inv_load
-    inv_area = curve._inv_area
-    # When no two buffers share a load bucket the shadow skip can never
-    # fire; run the lean loop without its per-offer bookkeeping.
-    shadows = lib.shadows if lib.has_shadows else None
-    pairs = list(zip(cap_keys, buffer_params))
     changed = False
     get = by_bucket.get
-    m = len(buffer_params)
-    reqs_j = [0.0] * m
-    akeys_j = [0] * m
     for frm_idx, snapshot in enumerate(snapshots):
         if frm_idx == to_idx or not snapshot:
             continue
@@ -431,57 +459,25 @@ def pending_relocate(curve: PendingCurve, to_idx: int, snapshots,
             res = base_res / width
             cap = base_cap * width
             half_self = 0.5 * cap
-            for t in snapshot:
-                s_load = t[0]
+            for t, s_load, s_req, akey, offers in snapshot:
                 load = s_load + cap
-                req = t[1] - res * (half_self + s_load)
-                area = t[2]
+                req = s_req - res * (half_self + s_load)
                 moved_t = None
-                key = (round(load * inv_load), round(area * inv_area))
+                key = (round(load * inv_load), akey)
                 incumbent = get(key)
-                if incumbent is None or incumbent[1] < req:
-                    moved_t = (load, req, area,
+                if incumbent is None or incumbent[2] < req:
+                    moved_t = (load, t[1], req,
                                ("ext1", root, t, length, width), 0)
                     by_bucket[key] = moved_t
                     changed = True
-                if shadows is None:
-                    for ck, (buffer, input_cap, buf_area, d0,
-                             slope) in pairs:
-                        b_req = req - d0 - slope * load
-                        b_area = area + buf_area
-                        b_key = (ck, round(b_area * inv_area))
-                        incumbent = get(b_key)
-                        if incumbent is None or incumbent[1] < b_req:
-                            if moved_t is None:
-                                moved_t = (load, req, area,
-                                           ("ext1", root, t, length,
-                                            width), 0)
-                            by_bucket[b_key] = (
-                                input_cap, b_req, b_area,
-                                ("buf1", root, moved_t, buffer), 0)
-                            changed = True
-                    continue
-                for bj, (buffer, input_cap, buf_area, d0,
-                         slope) in enumerate(buffer_params):
+                for b_key, input_cap, b_area, buffer, d0, slope in offers:
                     b_req = req - d0 - slope * load
-                    b_area = area + buf_area
-                    akey = round(b_area * inv_area)
-                    reqs_j[bj] = b_req
-                    akeys_j[bj] = akey
-                    hit = False
-                    for pi in shadows[bj]:
-                        if akeys_j[pi] == akey and reqs_j[pi] >= b_req:
-                            hit = True
-                            break
-                    if hit:
-                        continue
-                    b_key = (cap_keys[bj], akey)
                     incumbent = get(b_key)
-                    if incumbent is None or incumbent[1] < b_req:
+                    if incumbent is None or incumbent[2] < b_req:
                         if moved_t is None:
-                            moved_t = (load, req, area,
+                            moved_t = (load, t[1], req,
                                        ("ext1", root, t, length, width), 0)
-                        by_bucket[b_key] = (input_cap, b_req, b_area,
+                        by_bucket[b_key] = (input_cap, b_area, b_req,
                                             ("buf1", root, moved_t, buffer),
                                             0)
                         changed = True
@@ -494,58 +490,58 @@ def pending_relocate(curve: PendingCurve, to_idx: int, snapshots,
 # Pruning helpers (pending entries)
 # ----------------------------------------------------------------------
 
-def _pending_prune(items) -> list:
-    """Staircase sweep over ``(key, entry)`` items — the pending mirror
-    of ``repro.curves.curve._pareto_prune``."""
-    # Decorated sort: C tuple comparison, no per-item key callable; the
-    # index tiebreak keeps the stable order sorted(key=...) would give
-    # and stops comparison ever reaching the (unorderable) items.
-    order = [(kv[1][0], kv[1][2], -kv[1][1], i)
-             for i, kv in enumerate(items)]
-    order.sort()
+def _pending_prune(entries: list) -> list:
+    """Sweep over entries sorted by ``(load, area)`` — the pending mirror
+    of ``repro.curves.curve._pareto_prune``, same survivors in the same
+    order.
+
+    Every earlier entry has load no larger, so an entry is dominated iff
+    an earlier survivor has area no larger and required time no lower.
+    The sweep keeps only the 2-D frontier of the survivors so far —
+    areas and required times both strictly rising, except that an equal
+    area may repeat — and a new survivor overwrites the frontier points
+    it dominates with one slice assignment.
+    """
     kept = []
-    stair_areas: List[float] = []
-    stair_reqs: List[float] = []
-    for _load, area, _neg_req, i in order:
-        key, t = items[i]
-        req = t[1]
-        idx = bisect_right(stair_areas, area)
-        if idx > 0 and stair_reqs[idx - 1] >= req:
+    areas: List[float] = []
+    reqs: List[float] = []
+    for t in entries:
+        area = t[1]
+        req = t[2]
+        idx = bisect_right(areas, area)
+        if idx and reqs[idx - 1] >= req:
             continue  # dominated
-        kept.append((key, t))
-        stair_areas.insert(idx, area)
-        best_before = stair_reqs[idx - 1] if idx > 0 else float("-inf")
-        stair_reqs.insert(idx, max(best_before, req))
-        for later in range(idx + 1, len(stair_reqs)):
-            if stair_reqs[later] >= stair_reqs[later - 1]:
-                break
-            stair_reqs[later] = stair_reqs[later - 1]
+        kept.append(t)
+        end = bisect_right(reqs, req, idx)
+        areas[idx:end] = (area,)
+        reqs[idx:end] = (req,)
     return kept
 
 
-def _pending_thin(items: list, cap: int) -> list:
-    """Capacity cap over pending items — mirrors ``curve._thin``."""
+def _pending_thin(entries: list, cap: int) -> list:
+    """Capacity cap over pruned entries in sweep order — mirrors
+    ``curve._thin``."""
     # Single fused pass; strict comparisons keep the first occurrence,
-    # matching max()/min() tie behavior.
-    first = items[0][1]
-    by_req = by_load = by_area = 0
-    best_req, best_load, best_area = first[1], first[0], first[2]
-    for i in range(1, len(items)):
-        t = items[i][1]
-        if t[1] > best_req:
-            best_req = t[1]
+    # matching max()/min() tie behavior.  The sweep order is ascending
+    # load, so the first entry has the least load.
+    first = entries[0]
+    by_req = by_area = 0
+    best_req, best_area = first[2], first[1]
+    for i in range(1, len(entries)):
+        t = entries[i]
+        if t[2] > best_req:
+            best_req = t[2]
             by_req = i
-        if t[0] < best_load:
-            best_load = t[0]
-            by_load = i
-        if t[2] < best_area:
-            best_area = t[2]
+        if t[1] < best_area:
+            best_area = t[1]
             by_area = i
     # Positional dedup, mirroring curve._thin (no id()-derived keys).
-    forced = {i: items[i] for i in dict.fromkeys((by_req, by_load, by_area))}
-    rest = [kv for i, kv in enumerate(items) if i not in forced]
+    forced = {i: entries[i] for i in dict.fromkeys((by_req, 0, by_area))}
+    # Already in curve._thin's (load, required_time) order: equal-load
+    # survivors have strictly rising area, hence strictly rising
+    # required time.
+    rest = [t for i, t in enumerate(entries) if i not in forced]
     slots = cap - len(forced)
-    rest.sort(key=lambda kv: (kv[1][0], kv[1][1]))
     if slots <= 0:
         picked = []
     elif len(rest) <= slots:

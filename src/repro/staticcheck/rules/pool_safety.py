@@ -18,7 +18,7 @@ explode at runtime — or worse, only under ``workers > 1``:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.staticcheck.engine import (
     Finding,
@@ -54,42 +54,34 @@ def _call_target(node: ast.Call) -> str:
     return dotted_name(node.func) or "<call>"
 
 
-class _ScopeVisitor(ast.NodeVisitor):
-    """Walks the module tracking which names are nested functions.
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    ``self.nested`` holds, for the current position, every function
-    name defined *inside an enclosing function* — passing such a name
+
+def _pool_calls_in_scope(tree: ast.AST) -> Iterator[Tuple[ast.Call,
+                                                          FrozenSet[str]]]:
+    """Yield every pool call with the names of the nested functions in
+    scope: every function defined anywhere inside the outermost function
+    enclosing the call (empty outside functions).  Passing such a name
     to a pool entry point ships a closure that cannot be pickled.
+
+    Each outermost function is walked once, so nested bodies are never
+    walked again per enclosing def.
     """
-
-    def __init__(self, on_call) -> None:
-        self.on_call = on_call
-        self.nested: Set[str] = set()
-        self._depth = 0
-
-    def _visit_function(self, node) -> None:
-        if self._depth > 0:
-            self.nested.add(node.name)
-        self._depth += 1
-        added: List[str] = []
-        for statement in ast.walk(node):
-            if (isinstance(statement,
-                           (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and statement is not node):
-                if statement.name not in self.nested:
-                    self.nested.add(statement.name)
-                    added.append(statement.name)
-        self.generic_visit(node)
-        self._depth -= 1
-        for name in added:
-            self.nested.discard(name)
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.on_call(node, frozenset(self.nested), self._depth > 0)
-        self.generic_visit(node)
+    pending = [tree]
+    while pending:
+        for node in ast.iter_child_nodes(pending.pop()):
+            if isinstance(node, _FUNCTIONS):
+                inner = list(ast.walk(node))
+                nested = frozenset(sub.name for sub in inner
+                                   if isinstance(sub, _FUNCTIONS)
+                                   and sub is not node)
+                for sub in inner:
+                    if isinstance(sub, ast.Call) and _is_pool_call(sub):
+                        yield sub, nested
+                continue
+            if isinstance(node, ast.Call) and _is_pool_call(node):
+                yield node, frozenset()
+            pending.append(node)
 
 
 @register
@@ -99,11 +91,10 @@ class WorkerCallableRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
-
-        def on_call(node: ast.Call, nested: frozenset,
-                    in_function: bool) -> None:
-            if not _is_pool_call(node):
-                return
+        if not any(isinstance(node, ast.Call) and _is_pool_call(node)
+                   for node in module.nodes):
+            return findings
+        for node, nested in _pool_calls_in_scope(module.tree):
             target = _call_target(node)
             arguments = list(node.args) + [kw.value for kw in node.keywords]
             for argument in arguments:
@@ -114,14 +105,12 @@ class WorkerCallableRule(Rule):
                         f"pickled into worker processes — use a "
                         f"module-level function"))
                 elif (isinstance(argument, ast.Name)
-                      and in_function and argument.id in nested):
+                      and argument.id in nested):
                     findings.append(_finding(
                         module, argument, self.id,
                         f"nested function {argument.id!r} passed to "
                         f"{target}(): closures cannot be pickled into "
                         f"worker processes — hoist it to module level"))
-
-        _ScopeVisitor(on_call).visit(module.tree)
         return findings
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bubble_construct import bubble_construct
 from repro.core.config import MerlinConfig
@@ -179,18 +181,17 @@ def _ref_relocate(curves, geom, params) -> None:
 
 
 class _Geometry:
-    """The candidate geometry ``relocate_round`` reads: P and Q, two
-    wire widths."""
+    """The candidate geometry ``relocate_round`` reads: the candidates
+    (P and Q by default) and two wire widths."""
 
-    def __init__(self):
+    def __init__(self, candidates=(P, Q)):
         wire = default_technology().wire
-        self.candidates = [P, Q]
+        self.candidates = list(candidates)
         self.wire_widths = (1.0, 2.0)
-        length = P.manhattan_to(Q)
-        self.wire_res = [[0.0, wire.resistance_per_um * length],
-                         [wire.resistance_per_um * length, 0.0]]
-        self.wire_cap = [[0.0, wire.capacitance_per_um * length],
-                         [wire.capacitance_per_um * length, 0.0]]
+        self.wire_res = [[wire.resistance_per_um * a.manhattan_to(b)
+                          for b in candidates] for a in candidates]
+        self.wire_cap = [[wire.capacitance_per_um * a.manhattan_to(b)
+                          for b in candidates] for a in candidates]
 
 
 def _folded(sols, config, root=P) -> list:
@@ -278,6 +279,139 @@ def test_block_pipeline_matches_solution_reference(backend, seed):
     # Attributes AND the traceback topology (Join/Buffered trees)
     # must match, in curve order.
     assert _sigs(got) == _sigs(want)
+
+
+def _relocated_blocks(backend, load_step, seed) -> list:
+    """Two relaxation rounds over five candidate curves; every curve is
+    pruned after each round and all are frozen with one shared memo."""
+    rng = random.Random(seed)
+    roots = [P, Q, Point(-25, 60), Point(70, -10), Point(15, 15)]
+    config = CurveConfig(load_step=load_step, area_step=3.0,
+                         max_solutions=24, backend=backend)
+    kernel = contract.get_kernel(backend)
+    library = kernel.make_library(_buffer_params(), config)
+    curves = []
+    for root in roots:
+        curve = kernel.new_curve(root, config)
+        kernel.merge(curve, _block_of(
+            kernel, _random_solutions(rng, rng.randint(1, 30), root=root),
+            config, root=root))
+        curves.append(curve)
+    geom = _Geometry(roots)
+    for targets in ([0, 1, 2, 3, 4], [1, 3, 4]):
+        kernel.relocate_round(curves, targets, geom, library)
+        for curve in curves:
+            kernel.prune(curve)
+    memo: dict = {}
+    return [kernel.freeze(curve, memo) for curve in curves]
+
+
+# load_step=500 puts every buffer in one load bucket (a shadowed
+# library); 0.05 gives every buffer its own.
+@pytest.mark.parametrize("load_step", [0.05, 500.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relocate_round_matches_python_over_many_targets(load_step, seed):
+    """Each source snapshot feeds three or four targets and both wire
+    widths, so offer keys computed once per round are reused across
+    targets; the frozen blocks must equal the python backend's."""
+    library = contract.get_kernel("numpy").make_library(
+        _buffer_params(), CurveConfig(load_step=load_step))
+    assert library.has_shadows == (load_step == 500.0)
+    got = _relocated_blocks("numpy", load_step, seed)
+    want = _relocated_blocks("python", load_step, seed)
+    assert [_sigs(block) for block in got] == \
+        [_sigs(block) for block in want]
+
+
+@pytest.mark.parametrize("max_solutions", [8, 10 ** 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prune_matches_python_with_many_equal_loads(seed, max_solutions):
+    """Buffer offers all carry one of a few input caps as their load, so
+    half of a real prune input shares its load exactly with other
+    entries; the sort on (load, area) and the thin must still match the
+    python backend's prune — keys, order and solutions — with and
+    without the capacity cap."""
+    rng = random.Random(seed)
+    params = _buffer_params()
+    caps = [p[1] for p in params]
+    sources = _random_solutions(rng, 40)
+    # Loads exactly equal to buffer caps, as buffered entries have.
+    pins = [Solution(P, rng.choice(caps), float(rng.randint(-30, 30)),
+                     float(rng.randint(0, 30)), SinkLeaf(i))
+            for i in range(60)]
+    results = {}
+    for backend in BACKENDS:
+        config = CurveConfig(load_step=0.05, area_step=0.5,
+                             max_solutions=max_solutions, backend=backend)
+        kernel = contract.get_kernel(backend)
+        curve = kernel.new_curve(P, config)
+        kernel.merge(curve, sources)
+        kernel.add_buffer(curve, kernel.make_library(params, config),
+                          sources)
+        kernel.merge(curve, pins)
+        kernel.prune(curve)
+        results[backend] = [(key, _sig(s)) for key, s in
+                            kernel.thaw(curve)._by_bucket.items()]
+    loads = [sig[1] for _, sig in results["python"]]
+    assert len(set(loads)) < len(loads)  # equal loads survive the prune
+    assert results["numpy"] == results["python"]
+
+
+_quarters = st.integers(min_value=0, max_value=240).map(lambda k: k / 4)
+_attrs = st.tuples(_quarters,
+                   st.integers(min_value=-240, max_value=240).map(
+                       lambda k: k / 4),
+                   _quarters)
+_blocks = st.lists(_attrs, min_size=1, max_size=10)
+_curve = st.integers(min_value=0, max_value=2)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("merge"), _curve, _blocks),
+    st.tuples(st.just("join"), _curve, _blocks, _blocks),
+    st.tuples(st.just("buffer"), _curve),
+    st.tuples(st.just("relocate"),
+              st.lists(_curve, min_size=1, max_size=3, unique=True)),
+    st.tuples(st.just("prune"), _curve)), min_size=1, max_size=10)
+
+
+def _block(attrs) -> list:
+    return [Solution(P, load, req, area, SinkLeaf(i))
+            for i, (load, req, area) in enumerate(attrs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_ops, load_step=st.sampled_from([0.5, 2.0, 500.0]),
+       area_step=st.sampled_from([0.5, 3.0]),
+       n_buffers=st.integers(min_value=1, max_value=6))
+def test_numpy_keys_stay_the_buckets_of_their_entries(
+        ops, load_step, area_step, n_buffers):
+    """Any sequence of merge/join/add_buffer/relocate_round/prune on the
+    numpy backend leaves every key equal to its entry's bucket, so
+    (load, area) is unique per curve — the invariant its prune's plain
+    tuple sort relies on."""
+    roots = [P, Q, Point(-20, 55)]
+    config = CurveConfig(load_step=load_step, area_step=area_step,
+                         max_solutions=12)
+    kernel = contract.get_kernel("numpy")
+    library = kernel.make_library(_buffer_params(n_buffers), config)
+    curves = [kernel.new_curve(root, config) for root in roots]
+    geom = _Geometry(roots)
+    for op in ops:
+        if op[0] == "merge":
+            kernel.merge(curves[op[1]], _block(op[2]))
+        elif op[0] == "join":
+            kernel.join(curves[op[1]], _block(op[2]), _block(op[3]))
+        elif op[0] == "buffer":
+            kernel.add_buffer(curves[op[1]], library)
+        elif op[0] == "relocate":
+            kernel.relocate_round(curves, op[1], geom, library)
+        else:
+            kernel.prune(curves[op[1]])
+        for curve in curves:
+            entries = list(curve._by_bucket.items())
+            assert [key for key, _ in entries] == [
+                (round(t[0] * curve._inv_load),
+                 round(t[1] * curve._inv_area)) for _, t in entries]
+            assert len({t[:2] for _, t in entries}) == len(entries)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -10,8 +10,6 @@ change engine results.
 from __future__ import annotations
 
 import json
-import os
-import sys
 
 import pytest
 
@@ -22,9 +20,7 @@ from repro.instrument import Recorder, names as metric, report_to_json
 from repro.instrument.report import report_from_json
 from repro.routing.export import tree_signature
 from repro.tech.technology import default_technology
-
-sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import build_net  # noqa: E402
+from tests.conftest import build_net
 
 #: Smallest knobs that still exercise every instrumented code path on a
 #: 15-sink net in well under a second.

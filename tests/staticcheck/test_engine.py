@@ -198,3 +198,36 @@ def test_rule_catalogue_is_complete_and_sorted():
     }
     with pytest.raises(KeyError):
         get_rule("NO-SUCH-RULE")
+
+
+def test_pool_callable_flags_functions_nested_in_the_outermost_def(tmp_path):
+    """A name passed to a pool entry point is flagged when a function of
+    that name is defined anywhere inside the outermost enclosing def —
+    including its decorators and defaults — and never at module or class
+    level."""
+    path = tmp_path / "pool_nested.py"
+    path.write_text(
+        "def outer(pool):\n"
+        "    def inner():\n"
+        "        def deep():\n"
+        "            pass\n"
+        "    pool.submit(inner)\n"          # line 5: flagged
+        "    pool.submit(helper, outer)\n"  # module-level names: clean
+        "    return optimize_many(deep)\n"  # line 7: flagged
+        "\n"
+        "def helper():\n"
+        "    pass\n"
+        "\n"
+        "@deco(pool.submit(local))\n"      # line 12: flagged
+        "def decorated(pool):\n"
+        "    def local():\n"
+        "        pass\n"
+        "\n"
+        "class Holder:\n"
+        "    def method(self, pool):\n"
+        "        pass\n"
+        "    job = pool.submit(method)\n"   # class level: clean
+        "pool.submit(inner)\n")            # module level: clean
+    result = run_check([str(path)], rules=[get_rule("POOL-CALLABLE")])
+    assert [(f.line, f.rule_id) for f in result.findings] == [
+        (5, "POOL-CALLABLE"), (7, "POOL-CALLABLE"), (12, "POOL-CALLABLE")]

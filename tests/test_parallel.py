@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_net
 from repro import parallel
 from repro.core.config import MerlinConfig
 from repro.core.objective import Objective
 from repro.instrument import Recorder, SpanStats, merge_reports
 from repro.tech.technology import default_technology
+from tests.conftest import build_net
 
 TECH = default_technology()
 CONFIG = MerlinConfig.test_preset()
