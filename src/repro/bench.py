@@ -50,8 +50,7 @@ from repro import parallel
 from repro.core.config import MerlinConfig
 from repro.core.merlin import merlin
 from repro.core.objective import Objective
-from repro.curves import contract
-from repro.curves.curve import CurveConfig
+from repro.curves.curve import BACKENDS, CurveConfig
 from repro.experiments.nets import make_experiment_net
 from repro.instrument import Recorder
 from repro.routing.export import tree_signature
@@ -376,13 +375,15 @@ def run_closure_case(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
     }
 
 
-def _calibration_s(repeats: int = 3) -> float:
+def calibration_seconds(repeats: int = 3) -> float:
     """Seconds for a fixed pure-Python workload on this machine.
 
     Used to normalize tracked timings across machines: the workload
     (dict/loop/float churn, roughly the engine's instruction mix) is
     pinned, so its wall-clock measures the host, not the code under
-    test.  Best-of-``repeats`` to shed scheduler noise.
+    test.  Best-of-``repeats`` to shed scheduler noise.  The serving
+    load harness stamps the same probe into BENCH_serve.json, so the
+    timing artifacts stay comparable.
     """
     best = float("inf")
     for _ in range(repeats):
@@ -397,25 +398,14 @@ def _calibration_s(repeats: int = 3) -> float:
     return best
 
 
-def _environment() -> Dict[str, Any]:
+def environment_info() -> Dict[str, Any]:
+    """Host facts recorded beside every timing artifact."""
     import os
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def calibration_seconds(repeats: int = 3) -> float:
-    """Public alias of :func:`_calibration_s` for other timing artifacts
-    (the serving load harness normalizes its latency claims with the
-    same machine-speed probe, so BENCH_*.json files stay comparable)."""
-    return _calibration_s(repeats)
-
-
-def environment_info() -> Dict[str, Any]:
-    """Public alias of :func:`_environment` (same cross-artifact reuse)."""
-    return _environment()
 
 
 def run_suite(quick: bool, backends: Sequence[str],
@@ -437,8 +427,8 @@ def run_suite(quick: bool, backends: Sequence[str],
     for case in _closure_cases(quick):
         for backend in backends:
             cases.append(run_closure_case(case, backend))
-    environment = _environment()
-    environment["calibration_s"] = _calibration_s()
+    environment = environment_info()
+    environment["calibration_s"] = calibration_seconds()
     return {
         "version": BENCH_VERSION,
         "tag": tag,
@@ -553,7 +543,7 @@ def compare_to_baseline(current: Dict[str, Any], baseline: Dict[str, Any],
     """Regressions of ``current`` vs ``baseline`` (empty = gate passes).
 
     Every baseline timing is first rescaled by the machines'
-    calibration ratio (see :func:`_calibration_s`), so a uniformly
+    calibration ratio (see :func:`calibration_seconds`), so a uniformly
     slower host does not read as a code regression; only timings above
     ``min_seconds`` on both sides participate.  Keys present in only
     one suite are ignored — shape changes are reviewed via the JSON
@@ -657,11 +647,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.backends:
         backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     else:
-        backends = list(contract.BACKENDS)
+        backends = list(BACKENDS)
+    if not backends:
+        parser.error("--backends names no backend")  # exits 2
     for backend in backends:
-        if backend not in contract.BACKENDS:
+        if backend not in BACKENDS:
             parser.error(f"unknown backend {backend!r}")  # exits 2
-    worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
+    worker_counts = []
+    for entry in args.workers.split(","):
+        try:
+            count = int(entry)
+        except ValueError:
+            count = 0
+        if count < 1:
+            parser.error(f"--workers entries must be integers >= 1, "
+                         f"got {entry!r}")  # exits 2
+        worker_counts.append(count)
 
     profiler = None
     if args.profile > 0:

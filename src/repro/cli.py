@@ -23,9 +23,11 @@ Usage (after ``pip install -e .``)::
 their parsers: ``main`` hands them the rest of argv, so no other
 subcommand imports the analyzer or the bench harness.
 
-``--backend`` and ``--workers`` are thin overrides of the
-``MerlinConfig.backend`` / ``MerlinConfig.workers`` fields — library
-users get the same knobs without the CLI.
+``--workers`` is a thin override of ``MerlinConfig.workers``.  The
+curve kernel is ``CurveConfig.backend``: subcommands run its default
+(``"numpy"``), library users pick the scalar reference with
+``config.with_(curve=dataclasses.replace(config.curve,
+backend="python"))``, and ``bench --backends`` runs both.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from typing import List, Optional
 
 from repro.core.config import MerlinConfig
 from repro.tech.technology import default_technology
-
-#: Shared help of every subcommand's ``--backend`` override.
-_BACKEND_HELP = ("curve-kernel backend override (default: the config's "
-                 "backend); numpy runs deferred curves, python the scalar "
-                 "reference; results are bit-identical and neither needs "
-                 "NumPy")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -78,8 +74,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "JSON, see net_to_dict) instead of a synthetic "
                             "one; malformed input exits 2 with a one-line "
                             "error naming the offending field")
-    p_net.add_argument("--backend", choices=["python", "numpy"],
-                       default=None, help=_BACKEND_HELP)
     p_net.add_argument("--multi-start", type=int, default=0, metavar="K",
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "
@@ -121,8 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="warm-pool size per shard (default: the "
                             "config's workers; 0 = one per CPU; 1 = "
                             "serial)")
-    p_srv.add_argument("--backend", choices=["python", "numpy"],
-                       default=None, help=_BACKEND_HELP)
     p_srv.add_argument("--preset", choices=["fast", "test", "paper"],
                        default="fast",
                        help="MerlinConfig preset the service optimizes "
@@ -197,8 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       default="fast",
                       help="MerlinConfig preset of in-process services "
                            "(default fast)")
-    p_lg.add_argument("--backend", choices=["python", "numpy"],
-                      default=None, help=_BACKEND_HELP)
 
     p_cls = sub.add_parser(
         "closure", help="full-netlist timing closure (place, STA, "
@@ -232,8 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="fast",
                        help="MerlinConfig preset for the per-net "
                             "optimizations (default fast)")
-    p_cls.add_argument("--backend", choices=["python", "numpy"],
-                       default=None, help=_BACKEND_HELP)
     p_cls.add_argument("--workers", type=int, default=None,
                        help="service warm-pool size (default: the "
                             "config's workers; 0 = one per CPU)")
@@ -327,8 +315,6 @@ def _run_net(args) -> int:
         net = make_experiment_net(f"net_s{args.seed}", args.sinks, args.seed)
     tech = default_technology()
     config = MerlinConfig().with_(max_iterations=3)
-    if args.backend is not None:
-        config = config.with_(backend=args.backend)
     if args.multi_start:
         return _run_multi_start(args, net, tech, config)
     recorder = None
@@ -398,23 +384,20 @@ def _resolve_cli_workers(cli_workers, config) -> int:
     return cli_workers
 
 
-def _resolve_preset_config(preset: str, backend):
+def _resolve_preset_config(preset: str) -> MerlinConfig:
     presets = {
         "fast": MerlinConfig.fast_preset,
         "test": MerlinConfig.test_preset,
         "paper": MerlinConfig.paper_preset,
     }
-    config = presets[preset]()
-    if backend is not None:
-        config = config.with_(backend=backend)
-    return config
+    return presets[preset]()
 
 
 def _run_serve(args) -> int:
     from repro.serve import serve_async
     from repro.service import OptimizationService
 
-    config = _resolve_preset_config(args.preset, args.backend)
+    config = _resolve_preset_config(args.preset)
     workers = _resolve_cli_workers(args.workers, config)
 
     def service_factory(cache) -> OptimizationService:
@@ -477,7 +460,7 @@ def _run_loadgen(args) -> int:
         print(f"workload recorded to {args.record} "
               f"({len(workload)} requests)")
 
-    config = _resolve_preset_config(args.preset, args.backend)
+    config = _resolve_preset_config(args.preset)
     service_kwargs = {"config": config, "workers": args.workers,
                       "tech": default_technology()}
     mode = "replay"
@@ -536,14 +519,7 @@ def _run_closure(args) -> int:
             return 2
         netlist = generate_circuit(spec)
 
-    presets = {
-        "fast": MerlinConfig.fast_preset,
-        "test": MerlinConfig.test_preset,
-        "paper": MerlinConfig.paper_preset,
-    }
-    config = presets[args.preset]()
-    if args.backend is not None:
-        config = config.with_(backend=args.backend)
+    config = _resolve_preset_config(args.preset)
     workers = _resolve_cli_workers(args.workers, config)
     if args.journal is not None and args.resume is not None:
         print("error: --journal and --resume are mutually exclusive "

@@ -9,11 +9,9 @@ small nets when runtime is no object.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.curves import contract
 from repro.curves.curve import CurveConfig
 from repro.geometry.candidates import CandidateStrategy
 from repro.instrument.recorder import Recorder
@@ -35,7 +33,8 @@ class MerlinConfig:
         How the buffer candidate set P is generated and its size cap
         (the ``k`` of the complexity bounds).
     curve:
-        Quantization/capacity parameters for every solution curve.
+        Quantization/capacity parameters for every solution curve, and
+        the curve kernel (``curve.backend``).
     library_subset:
         When set, thin the technology's buffer library to this many cells
         (evenly across drive strengths) before optimizing — the ``m`` knob.
@@ -76,15 +75,6 @@ class MerlinConfig:
     #: always single-threaded per run, so results are identical for any
     #: value — this is a scheduling knob, not an optimization knob.
     workers: int = 1
-    #: Curve-kernel backend ("python" or "numpy"); results are
-    #: bit-identical either way (enforced by the bench equivalence gate).
-    #: None follows ``curve.backend``, whose default is "numpy" (the
-    #: deferred-curve kernel; a historical name, NumPy is not needed);
-    #: when set it takes precedence and is normalized into
-    #: ``curve.backend`` at construction time, so library users pick a
-    #: backend with ``MerlinConfig(backend=...)`` (e.g. "python" for the
-    #: scalar reference) instead of hand-replacing the nested CurveConfig.
-    backend: Optional[str] = None
     #: Wire-sizing multipliers tried for every wire the DP creates
     #: (1.0 = minimum width; resistance scales 1/w, capacitance w).
     #: The default single width disables sizing; pass e.g. (1.0, 2.0, 4.0)
@@ -126,16 +116,6 @@ class MerlinConfig:
                 any(w <= 0 for w in self.wire_width_options):
             raise MerlinInputError("wire_width_options must be positive "
                                    "and non-empty")
-        if self.backend is not None:
-            if self.backend not in contract.BACKENDS:
-                raise MerlinInputError(
-                    f"unknown backend {self.backend!r}; "
-                    f"expected one of {contract.BACKENDS}")
-            if self.curve.backend != self.backend:
-                # Frozen dataclass: normalize via object.__setattr__ so
-                # curve.backend and backend can never disagree.
-                object.__setattr__(self, "curve", dataclasses.replace(
-                    self.curve, backend=self.backend))
 
     @classmethod
     def fast_preset(cls) -> "MerlinConfig":

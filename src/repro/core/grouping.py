@@ -77,9 +77,6 @@ class Group:
         return tuple(q for q in range(self.span_left, self.r + 1)
                      if q not in holes)
 
-    def contains_position(self, q: int) -> bool:
-        return q in self.member_positions
-
 
 def make_group(r: int, size: int, e: int, n: int) -> Optional[Group]:
     """Build a group, or return None when the combination is invalid.

@@ -21,10 +21,10 @@ The recursion follows the paper:
   (that is the ``*``); inferior options are pruned per Definition 6.
 
 This module is the library's hottest code path, but it no longer owns
-the inner loops: every curve operation goes through the registered
-:class:`repro.curves.contract.CurveKernel` backend selected by
+the inner loops: every curve operation goes through the
+:class:`repro.curves.contract.CurveKernel` selected by
 ``CurveConfig.backend`` — loops over deferred live curves
-(:mod:`repro.curves.backend_numpy`, the default) or over
+(:class:`repro.curves.kernels.DeferredKernel`, the default) or over
 ``SolutionCurve`` (:mod:`repro.curves.backend_python`), bit-identical by
 contract.
 What stays here is the DP structure and the per-net precomputation:
@@ -82,7 +82,7 @@ class PTreeContext:
         self.curve_config = curve_config
         self.relocation_rounds = relocation_rounds
         self.wire_widths: Tuple[float, ...] = tuple(wire_widths)
-        #: The registered kernel backend running every curve operation.
+        #: The kernel running every curve operation.
         self.kernel = contract.get_kernel(curve_config.backend)
         # With buffering disabled the DP degenerates to plain PTREE
         # [LCLH96] — the routing baseline of Flows I and II.
@@ -92,8 +92,8 @@ class PTreeContext:
         ]
         #: Preprocessed buffer library (affine params, quantized cap
         #: keys, Li & Shi shadow table).
-        self.library = self.kernel.make_library(self.buffer_params,
-                                                curve_config)
+        self.library = contract.KernelLibrary(self.buffer_params,
+                                              curve_config)
         k = len(self.candidates)
         self.wire_res: List[List[float]] = [[0.0] * k for _ in range(k)]
         self.wire_cap: List[List[float]] = [[0.0] * k for _ in range(k)]

@@ -26,8 +26,8 @@ from repro.curves.solution import (
     sink_leaf_solution,
     check_solution,
 )
-from repro.curves.curve import CurveConfig, SolutionCurve
-from repro.curves.kernels import BACKENDS, PendingCurve, resolve_backend
+from repro.curves.curve import BACKENDS, CurveConfig, SolutionCurve
+from repro.curves.kernels import PendingCurve
 from repro.curves.contract import numpy_available
 from repro.curves.ops import extend_curve, join_curves, buffered_options
 
@@ -35,7 +35,6 @@ __all__ = [
     "BACKENDS",
     "PendingCurve",
     "numpy_available",
-    "resolve_backend",
     "Solution",
     "SinkLeaf",
     "Extend",

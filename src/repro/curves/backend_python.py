@@ -23,23 +23,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.curves.contract import CurveKernel, KernelLibrary, register_kernel
+from repro.curves.contract import CurveKernel, KernelLibrary
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Buffered, Extend, Join, Solution
 from repro.geometry.point import Point
 
 
-@register_kernel
 class PythonKernel(CurveKernel):
     """Scalar reference implementation of the kernel contract."""
 
-    name = "python"
-
     def new_curve(self, root: Point, config: CurveConfig) -> SolutionCurve:
         return SolutionCurve(root, config)
-
-    def merge(self, curve: SolutionCurve, block) -> int:
-        return curve.extend(block)
 
     def join(self, curve: SolutionCurve, lefts, rights) -> None:
         accept_key = curve.accept_key
@@ -174,9 +168,6 @@ class PythonKernel(CurveKernel):
                                     Buffered(moved, buffer)))
                                 changed = True
         return changed
-
-    def prune(self, curve: SolutionCurve) -> None:
-        curve.prune()
 
     def freeze(self, curve: SolutionCurve,
                memo: Optional[dict] = None) -> List[Solution]:

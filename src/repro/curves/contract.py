@@ -1,10 +1,10 @@
-"""The curve-kernel contract: one array-level interface, two backends.
+"""The curve-kernel contract: one interface, two kernels.
 
-The *PTREE dynamic program is, operationally, five operations over
-solution-curve blocks:
+The *PTREE dynamic program runs on six operations over live curves and
+frozen blocks:
 
-``merge``
-    fold an already frozen block into a live curve (table reuse);
+``new_curve``
+    one empty live curve at a candidate root;
 ``join``
     cross-product combine two frozen blocks into a live curve
     (``S_b(p,i,j) = S(p,i,u) + S(p,u+1,j)``);
@@ -14,27 +14,24 @@ solution-curve blocks:
 ``relocate_round``
     one relaxation pass of ``S(p) = min{d(p,p') + S(p')}`` over the
     candidate set;
-``prune`` / ``freeze`` / ``thaw``
-    cull dominated entries, snapshot a live curve into a frozen block —
-    its surviving :class:`~repro.curves.solution.Solution` objects in
-    curve order, on every backend — and hand a live curve to
-    backend-agnostic callers as a :class:`SolutionCurve` (thaw).
+``freeze`` / ``thaw``
+    snapshot a pruned live curve into a frozen block — its surviving
+    :class:`~repro.curves.solution.Solution` objects in curve order,
+    on both kernels — and hand a live curve to kernel-agnostic callers
+    as a :class:`SolutionCurve`.
 
-This module pins that interface as :class:`CurveKernel` and keeps a
-registry of implementations, mirroring how staticcheck rules register:
-each backend module defines a subclass decorated with
-:func:`register_kernel`, and the engine resolves one by name at context
-creation.  Two backends ship, both pure Python — ``"python"``
+Folding a block into a live curve and pruning it are the live curve's
+own ``extend`` and ``prune``.  :func:`get_kernel` maps each
+``CurveConfig.backend`` value (:data:`~repro.curves.curve.BACKENDS`) to
+its kernel.  Both kernels are pure Python — ``"python"``
 (:mod:`repro.curves.backend_python`, scalar loops over
 :class:`~repro.curves.curve.SolutionCurve`, the reference oracle) and
-``"numpy"`` (:mod:`repro.curves.backend_numpy`, deferred live curves
-from :mod:`repro.curves.kernels`, the served default; the name is
-historical) — and are bit-identical by contract:
-the golden suites and ``bench check_suite`` pin equal tree signatures.
-A native or GPU backend is a third registration away; engine layers
-(``core``, ``routing``, ``service``, ``pipeline``) never see
-representation details (the ``LAY-KERNEL`` staticcheck rule enforces
-this).
+``"numpy"`` (:class:`repro.curves.kernels.DeferredKernel`, deferred
+live curves, the served default; the name is historical) — and are
+bit-identical by contract: the golden suites and ``bench check_suite``
+pin equal tree signatures.  Engine layers (``core``, ``routing``,
+``service``, ``pipeline``) never see representation details (the
+``LAY-KERNEL`` staticcheck rule enforces this).
 
 The contract also owns :class:`KernelLibrary`, the per-net buffer
 library preprocessing shared by both backends — notably the Li & Shi
@@ -51,24 +48,20 @@ perturb results.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.curves.curve import CurveConfig, SolutionCurve
-from repro.curves.kernels import BACKENDS, resolve_backend
+from repro.curves.curve import BACKENDS, CurveConfig, SolutionCurve
 from repro.geometry.point import Point
 from repro.tech.buffer import Buffer
 
 __all__ = [
-    "BACKENDS",
     "BufferParams",
     "CurveKernel",
     "KernelLibrary",
     "get_kernel",
-    "kernel_names",
     "numpy_available",
-    "register_kernel",
-    "resolve_backend",
 ]
 
 #: Per-buffer precomputed parameters:
@@ -119,31 +112,19 @@ class KernelLibrary:
 
 
 class CurveKernel:
-    """Abstract curve-kernel backend.
+    """Abstract curve kernel.
 
-    One instance per registered backend (stateless; per-net state lives
-    in the library and the curves).  ``Curve`` below means the backend's
-    live-curve type; ``Block`` its frozen-curve type.  Both must satisfy
-    the small structural protocol the engine relies on: live curves
-    expose ``add`` / ``extend`` / ``prune`` / ``solutions`` / ``root``
-    and iterate their survivors; frozen blocks are ``Solution`` lists
-    in curve order (ascending ``(load, -required_time, area)``).
+    Stateless; per-net state lives in the library and the curves.
+    ``Curve`` below means the kernel's live-curve type; ``Block`` its
+    frozen-curve type.  Both must satisfy the small structural protocol
+    the engine relies on: live curves expose ``add`` / ``extend`` /
+    ``prune`` / ``solutions`` / ``root`` and iterate their survivors;
+    frozen blocks are ``Solution`` lists in curve order (ascending
+    ``(load, -required_time, area)``).
     """
-
-    #: Registry name; also the ``CurveConfig.backend`` value it serves.
-    name: str = ""
-
-    def make_library(self, buffer_params: Sequence[BufferParams],
-                     curve_config: CurveConfig) -> KernelLibrary:
-        """Preprocess the buffer library once per net."""
-        return KernelLibrary(buffer_params, curve_config)
 
     def new_curve(self, root: Point, config: CurveConfig):
         """One empty live curve rooted at ``root``."""
-        raise NotImplementedError
-
-    def merge(self, curve, block) -> int:
-        """Fold a frozen block into a live curve; return entries stored."""
         raise NotImplementedError
 
     def join(self, curve, lefts, rights) -> None:
@@ -173,10 +154,6 @@ class CurveKernel:
         """
         raise NotImplementedError
 
-    def prune(self, curve) -> None:
-        """Cull 3-D dominated entries and enforce the capacity cap."""
-        raise NotImplementedError
-
     def freeze(self, curve, memo: Optional[dict] = None):
         """Snapshot a (pruned) live curve into the frozen block format.
 
@@ -193,36 +170,20 @@ class CurveKernel:
         raise NotImplementedError
 
 
-_REGISTRY: Dict[str, CurveKernel] = {}
+@functools.cache
+def _kernels() -> Dict[str, CurveKernel]:
+    """``CurveConfig.backend`` value -> kernel, built on first use."""
+    # Deferred: both kernel modules import this one for the base class,
+    # so importing them at module scope would cycle.
+    from repro.curves.backend_python import PythonKernel
+    from repro.curves.kernels import DeferredKernel
 
-
-def register_kernel(cls: Type[CurveKernel]) -> Type[CurveKernel]:
-    """Class decorator registering a :class:`CurveKernel` implementation
-    under its ``name`` (last registration wins, like staticcheck rules)."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must define a non-empty name")
-    _REGISTRY[cls.name] = cls()
-    return cls
-
-
-def kernel_names() -> List[str]:
-    """Registered backend names (built-ins always present)."""
-    _load_builtins()
-    return sorted(_REGISTRY)
+    return {"python": PythonKernel(), "numpy": DeferredKernel()}
 
 
 def get_kernel(name: str) -> CurveKernel:
-    """Resolve a backend name to its registered kernel."""
-    _load_builtins()
-    kernel = _REGISTRY.get(name)
-    if kernel is None:
+    """The kernel serving the ``CurveConfig.backend`` value ``name``."""
+    if name not in BACKENDS:
         raise ValueError(
-            f"unknown curve kernel {name!r}; registered: {kernel_names()}")
-    return kernel
-
-
-def _load_builtins() -> None:
-    # Imported lazily: the backend modules import this one for the
-    # decorator, so importing them at module scope would cycle.
-    import repro.curves.backend_python  # noqa: F401
-    import repro.curves.backend_numpy  # noqa: F401
+            f"unknown curve kernel {name!r}; expected one of {BACKENDS}")
+    return _kernels()[name]

@@ -6,11 +6,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.curves import kernels
 from repro.curves.solution import Solution
 from repro.geometry.point import Point
 from repro.instrument import names as metric
 from repro.instrument.recorder import active_recorder
+
+#: The ``CurveConfig.backend`` values: one per curve kernel
+#: (:func:`repro.curves.contract.get_kernel`).
+BACKENDS = ("python", "numpy")
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,15 @@ class CurveConfig:
             raise ValueError("quantization steps must be positive")
         if self.max_solutions < 3:
             raise ValueError("max_solutions must be >= 3")
-        if self.backend not in kernels.BACKENDS:
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
-                f"expected one of {kernels.BACKENDS}")
+                f"expected one of {BACKENDS}")
 
     def resolved_backend(self) -> str:
-        """The backend that will actually run."""
-        return kernels.resolve_backend(self.backend)
+        """The backend that will actually run: every listed backend
+        runs as named (neither needs a third-party package)."""
+        return self.backend
 
     def bucket(self, solution: Solution) -> Tuple[int, int]:
         """Return the (load, area) quantization bucket of ``solution``.
@@ -127,11 +131,6 @@ class SolutionCurve:
     # ------------------------------------------------------------------
     # Convenience API
     # ------------------------------------------------------------------
-
-    def would_accept(self, load: float, required_time: float,
-                     area: float) -> bool:
-        """Boolean form of :meth:`accept_key`."""
-        return self.accept_key(load, required_time, area) is not None
 
     def add(self, solution: Solution) -> bool:
         """Insert ``solution``; return True when it was kept.

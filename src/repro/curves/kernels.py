@@ -1,4 +1,4 @@
-"""Deferred-entry curve kernels — the ``"numpy"`` backend internals.
+"""Deferred-entry curve kernels — the ``"numpy"`` backend.
 
 The engines spend nearly all of their time in four loops over solution
 attributes: the cross-product *join*, the *buffer* offer, the root
@@ -20,17 +20,17 @@ DP.  That split is what this module exploits:
   hold about what the python backend's solution lists hold.
 
 Every kernel is a sequential sweep over bucketed or sorted lists, in
-the style of Li & Shi's buffer insertion.  The registry name
-``"numpy"`` (a public ``CurveConfig.backend`` value) dates from when
-these loops had NumPy vector twins; on the curves the served presets
-build — prune inputs of a few hundred entries, joins of a few dozen
-pairs — the scalar sweeps measured faster at every size, so the
-backend needs no third-party package.
+the style of Li & Shi's buffer insertion.  The name ``"numpy"`` (a
+public ``CurveConfig.backend`` value) dates from when these loops had
+NumPy vector twins; on the curves the served presets build — prune
+inputs of a few hundred entries, joins of a few dozen pairs — the
+scalar sweeps measured faster at every size, so the backend needs no
+third-party package.  :class:`DeferredKernel` binds them to the
+:class:`~repro.curves.contract.CurveKernel` contract.
 
 This module is representation-internal: engine layers reach it only
-through the backend objects registered in
-:mod:`repro.curves.contract` (enforced by the ``LAY-KERNEL``
-staticcheck rule).
+through :func:`repro.curves.contract.get_kernel` (enforced by the
+``LAY-KERNEL`` staticcheck rule).
 
 Bit-identical results
 ---------------------
@@ -60,23 +60,14 @@ approximate — equivalence:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.curves.contract import CurveKernel, KernelLibrary
+from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Buffered, Extend, Join, Solution
+from repro.geometry.point import Point
 from repro.instrument import names as metric
 from repro.instrument.recorder import active_recorder
-
-#: Backend names accepted by :class:`repro.curves.curve.CurveConfig`.
-BACKENDS = ("python", "numpy")
-
-
-def resolve_backend(requested: str) -> str:
-    """Validate a requested backend name; every listed backend runs as
-    named (neither needs a third-party package)."""
-    if requested not in BACKENDS:
-        raise ValueError(
-            f"unknown curve backend {requested!r}; expected one of {BACKENDS}")
-    return requested
 
 
 def _entry_order(t) -> Tuple[float, float, float]:
@@ -273,15 +264,13 @@ class PendingCurve:
         """Materialized survivors, sorted by ascending load."""
         return self.freeze()
 
-    def to_solution_curve(self):
+    def to_solution_curve(self) -> SolutionCurve:
         """Materialize into an equivalent :class:`SolutionCurve`.
 
         Preserves bucket keys, dict order, and the pruned flag, so
         backend-agnostic callers receive exactly the live-curve state the
         python backend would have produced.
         """
-        from repro.curves.curve import SolutionCurve
-
         curve = SolutionCurve(self.root, self.config)
         memo: dict = {}
         curve._by_bucket = {key: resolve_entry(t, memo)
@@ -550,3 +539,46 @@ def _pending_thin(entries: list, cap: int) -> list:
         stride = len(rest) / slots
         picked = [rest[int(i * stride)] for i in range(slots)]
     return list(forced.values()) + picked
+
+
+# ----------------------------------------------------------------------
+# The contract binding
+# ----------------------------------------------------------------------
+
+class DeferredKernel(CurveKernel):
+    """The ``"numpy"`` kernel: :class:`PendingCurve` live curves whose
+    candidates materialize only if they survive, frozen into plain
+    lists of the survivors."""
+
+    def new_curve(self, root: Point, config: CurveConfig) -> PendingCurve:
+        return PendingCurve(root, config)
+
+    def join(self, curve: PendingCurve, lefts, rights) -> None:
+        pending_join(curve, lefts, rights)
+
+    def add_buffer(self, curve: PendingCurve, library: KernelLibrary,
+                   sources=None) -> int:
+        if sources is None:
+            sources = list(curve)
+        return pending_buffer(curve, sources, library)
+
+    def relocate_round(self, curves: Sequence[PendingCurve],
+                       targets: Sequence[int], geom,
+                       library: KernelLibrary) -> bool:
+        # Target-independent offer keys, computed once for the round.
+        snapshots = [relocation_snapshot(curve, library)
+                     for curve in curves]
+        changed = False
+        for to_idx in targets:
+            if pending_relocate(
+                    curves[to_idx], to_idx, snapshots, geom.wire_res,
+                    geom.wire_cap, geom.candidates, geom.wire_widths):
+                changed = True
+        return changed
+
+    def freeze(self, curve: PendingCurve,
+               memo: Optional[dict] = None) -> List[Solution]:
+        return curve.freeze(memo)
+
+    def thaw(self, curve: PendingCurve) -> SolutionCurve:
+        return curve.to_solution_curve()

@@ -45,9 +45,7 @@ def run_circuit_flow(netlist: Netlist, flow: str, tech,
                      config: Optional[MerlinConfig] = None,
                      objective: Optional[Objective] = None,
                      min_sinks: int = 2,
-                     target_scale: float = 0.88,
-                     use_service: bool = False,
-                     service=None) -> CircuitFlowResult:
+                     target_scale: float = 0.88) -> CircuitFlowResult:
     """Run ``flow`` over every net of ``netlist`` with >= ``min_sinks`` sinks.
 
     Timing-closure setup: required times are derived from a pre-
@@ -59,27 +57,10 @@ def run_circuit_flow(netlist: Netlist, flow: str, tech,
     slack-rich nets get few or no buffers, critical-cone nets cannot meet
     the floor and fall back to their best achievable required time, so
     buffer area concentrates exactly where delay improves.
-
-    ``use_service=True`` routes the per-net MERLIN runs through a
-    :class:`repro.service.OptimizationService` batch (warm pool + result
-    cache) instead of the in-process loop — bit-identical trees, since
-    the service's first ladder rung is the plain engine with the same
-    config and per-net objective.  Only ``flow3_merlin`` is served (the
-    baseline flows have no service backend).  Pass ``service`` to reuse
-    a long-lived instance (its tech/config then apply); otherwise a
-    transient one is created for the call.
     """
-    from repro.baselines.flows import FLOW_III
-
     config = config or MerlinConfig()
     if not 0.0 < target_scale <= 1.0:
         raise ValueError("target_scale must be in (0, 1]")
-    if (use_service or service is not None) and flow != FLOW_III:
-        from repro.resilience.errors import MerlinInputError
-
-        raise MerlinInputError(
-            f"use_service only supports {FLOW_III!r} (the service has "
-            f"no backend for baseline flow {flow!r})")
     start = time.perf_counter()
     place_netlist(netlist)
     estimate = run_sta(netlist, tech)
@@ -97,18 +78,11 @@ def run_circuit_flow(netlist: Netlist, flow: str, tech,
 
     per_net: Dict[str, FlowResult] = {}
     total_loops = 0
-    if use_service or service is not None:
-        for circuit_net, result in zip(selected, _service_flow_results(
-                jobs, objectives, tech, config, service)):
-            per_net[circuit_net.name] = result
-            total_loops += result.loops
-    else:
-        for circuit_net, net, net_objective in zip(selected, jobs,
-                                                   objectives):
-            result = run_flow(flow, net, tech, config=config,
-                              objective=net_objective)
-            per_net[circuit_net.name] = result
-            total_loops += result.loops
+    for circuit_net, net, net_objective in zip(selected, jobs, objectives):
+        result = run_flow(flow, net, tech, config=config,
+                          objective=net_objective)
+        per_net[circuit_net.name] = result
+        total_loops += result.loops
 
     def optimized_delay(net: CircuitNet, sink_name: str) -> float:
         result = per_net.get(net.name)
@@ -132,50 +106,6 @@ def run_circuit_flow(netlist: Netlist, flow: str, tech,
         sta=final_sta,
         per_net=per_net,
     )
-
-
-def _service_flow_results(jobs: List[Net], objectives: List[Objective],
-                          tech, config: MerlinConfig,
-                          service) -> List[FlowResult]:
-    """Run the MERLIN jobs through the optimization service and wrap the
-    answers as :class:`FlowResult` rows (the in-process loop's shape).
-
-    The evaluation is recomputed locally from the returned tree with the
-    shared Elmore/gate models — same tree, same numbers — because the
-    service ships its evaluation as a JSON-ready dict, and downstream
-    consumers of ``CircuitFlowResult.per_net`` expect the dataclass.
-    A failed job is raised as its taxonomy error: the circuit harness
-    has no per-net fallback story, exactly like the in-process path.
-    """
-    from repro.baselines.flows import FLOW_III
-    from repro.resilience.errors import error_from_record
-    from repro.routing.evaluate import evaluate_tree
-
-    def wrap(results) -> List[FlowResult]:
-        rows: List[FlowResult] = []
-        for net, result in zip(jobs, results):
-            if not result.ok:
-                raise error_from_record(result.error_record)
-            rows.append(FlowResult(
-                flow=FLOW_III,
-                net=net,
-                tree=result.tree,
-                evaluation=evaluate_tree(result.tree, tech),
-                runtime_s=result.elapsed_s,
-                loops=result.iterations or 1,
-                extra={"converged": result.converged,
-                       "cached": result.cached,
-                       "degraded": result.degraded,
-                       "service": True},
-            ))
-        return rows
-
-    if service is not None:
-        return wrap(service.optimize_many(jobs, objectives=objectives))
-    from repro.service.engine import OptimizationService
-
-    with OptimizationService(tech=tech, config=config) as transient:
-        return wrap(transient.optimize_many(jobs, objectives=objectives))
 
 
 def _to_routing_net(netlist: Netlist, circuit_net: CircuitNet,

@@ -560,13 +560,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def walk_with_parents(tree: ast.AST):
-    """Yield ``(node, parent)`` pairs over the whole tree."""
-    stack: List[Tuple[ast.AST, Optional[ast.AST]]] = [(tree, None)]
-    while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, node))

@@ -6,7 +6,7 @@ into a :class:`FileFacts` — everything any whole-program rule needs,
 expressed as plain data: unresolved import statements, async-function
 names, statement-expression calls, ``fault_point`` site definitions and
 ``FaultSpec``/plan-dict site references, instrument metric definitions /
-emits / reads, kernel- and ordering-registry definitions and lookups,
+emits / reads, ordering-registry definitions and lookups,
 and the inline-suppression map.  Collectors that scan the whole file
 iterate the module's shared node list (one ``ast.walk`` per file).
 
@@ -103,8 +103,7 @@ class FileFacts:
     #: Names imported via ``from repro.instrument.names import X`` —
     #: counted as reads (their use context is unknown).
     metric_imports: Tuple[str, ...] = ()
-    #: Registry definitions: (kind, name, line); kind in
-    #: {"kernel", "ordering"}.
+    #: Registry definitions: (kind, name, line); kind is "ordering".
     registry_defs: List[Tuple[str, str, int]] = field(default_factory=list)
     #: Registry lookups with a literal key: (kind, name, line).
     registry_refs: List[Tuple[str, str, int]] = field(default_factory=list)
@@ -308,23 +307,8 @@ def _collect_metrics(tree: ast.Module, nodes: Sequence[ast.AST],
     return defs, refs, literal_emits, tuple(sorted(set(imports)))
 
 
-def _kernel_class_name(node: ast.ClassDef) -> Optional[Tuple[str, int]]:
-    """``name = "<literal>"`` from a kernel class body, if present."""
-    for stmt in node.body:
-        if (isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "name"
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)):
-            return stmt.value.value, stmt.lineno
-    return None
-
-
 #: Lookup callables → registry kind.
 _REGISTRY_LOOKUPS = {
-    "get_kernel": "kernel",
-    "resolve_backend": "kernel",
     "get_ordering": "ordering",
 }
 
@@ -334,15 +318,7 @@ def _collect_registry(nodes: Sequence[ast.AST]) -> Tuple[
     defs: List[Tuple[str, str, int]] = []
     refs: List[Tuple[str, str, int]] = []
     for node in nodes:
-        if isinstance(node, ast.ClassDef):
-            for deco in node.decorator_list:
-                if _callee_name(deco) == "register_kernel" or (
-                        isinstance(deco, ast.Call)
-                        and _callee_name(deco.func) == "register_kernel"):
-                    named = _kernel_class_name(node)
-                    if named is not None:
-                        defs.append(("kernel", named[0], named[1]))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for deco in node.decorator_list:
                 if (isinstance(deco, ast.Call)
                         and _callee_name(deco.func) == "register_ordering"):

@@ -20,7 +20,7 @@ them):
 ``LAY-KERNEL``            engine layer importing curve-kernel internals
 ``REG-UNKNOWN-SITE``      fault spec naming a nonexistent fault site
 ``REG-DEAD-METRIC``       metric emitted but never read, or vice versa
-``REG-DANGLING-KEY``      kernel/ordering lookup with no registration
+``REG-DANGLING-KEY``      ordering lookup with no registration
 ``RES-BARE-EXCEPT``       bare/``BaseException`` handler in service/
                           parallel/resilience
 ``SUP-UNUSED``            suppression comment that suppresses nothing

@@ -12,15 +12,14 @@ module-level runtime import graph; every cycle is reported once,
 anchored at its alphabetically first member, listing the full loop.
 
 ``LAY-KERNEL`` seals the curve-kernel boundary: only the ``curves``
-package itself (and future registered backend modules) may import the
-block-representation modules — :mod:`repro.curves.kernels` and the
-``repro.curves.backend_*`` implementations.  Engine layers (``core``,
+package itself may import the block-representation modules —
+:mod:`repro.curves.kernels` (the deferred kernel) and
+:mod:`repro.curves.backend_python`.  Engine layers (``core``,
 ``routing``, ``service``, ``pipeline``) must go through
-:mod:`repro.curves.contract`, which re-exports the backend-agnostic
-names (``BACKENDS``, ``get_kernel``, …).  Unlike ``LAY-UPWARD``,
-deferred imports are *not* exempt — reaching into block internals from
-a function body is still a boundary breach; only erased
-``TYPE_CHECKING`` imports pass.
+:mod:`repro.curves.contract` (``get_kernel``, ``KernelLibrary``, …).
+Unlike ``LAY-UPWARD``, deferred imports are *not* exempt — reaching
+into block internals from a function body is still a boundary breach;
+only erased ``TYPE_CHECKING`` imports pass.
 
 All three are phase-2 passes: they consume the resolved edge list the
 merged :class:`~repro.staticcheck.facts.ProjectFacts` derives from the
@@ -73,7 +72,6 @@ class UpwardImportRule(ProjectRule):
 KERNEL_MODULES = frozenset({
     "repro.curves.kernels",
     "repro.curves.backend_python",
-    "repro.curves.backend_numpy",
 })
 
 #: Packages that must stay backend-blind: everything engine-side that
@@ -101,9 +99,9 @@ class KernelBoundaryRule(ProjectRule):
                 message=(
                     f"{edge.source} imports {edge.target}: engine layers "
                     f"must stay backend-blind — import "
-                    f"repro.curves.contract (it re-exports BACKENDS, "
-                    f"get_kernel, resolve_backend, ...) so curve block "
-                    f"internals remain swappable")))
+                    f"repro.curves.contract (get_kernel, "
+                    f"KernelLibrary, ...) so curve block internals "
+                    f"remain swappable")))
         return findings
 
 

@@ -3,9 +3,8 @@
 The reproduction wires subsystems together through string keys — fault
 sites (``fault_point("serve.shard")`` matched by ``MERLIN_FAULTS``
 globs and ``FaultSpec``s), instrument metric names
-(:mod:`repro.instrument.names`), and the kernel / ordering registries
-(``@register_kernel`` / ``@register_ordering`` looked up by
-``get_kernel`` / ``resolve_backend`` / ``get_ordering``).  A typo on
+(:mod:`repro.instrument.names`), and the ordering registry
+(``@register_ordering`` looked up by ``get_ordering``).  A typo on
 either side fails silently: the fault never fires, the metric is never
 charted, the lookup raises at runtime.  These phase-2 passes
 cross-check definition and use sites over the merged fact base.
@@ -25,8 +24,8 @@ module and at least one out-of-tree file (tests) are in the run, so
 ``src``-only invocations do not flag metrics whose readers live in the
 test suite.
 
-``REG-DANGLING-KEY`` — a literal kernel/ordering lookup key with no
-matching registration in the run.
+``REG-DANGLING-KEY`` — a literal ordering lookup key with no matching
+registration in the run.
 """
 
 from __future__ import annotations

@@ -63,15 +63,3 @@ DEFAULT_NOMINAL_SLEW = 80.0
 #: corner-to-corner wire roughly equals one mid-strength buffer delay.
 #: Used by the synthetic net generator to size net bounding boxes.
 GATE_EQUIVALENT_BOX_SIDE = 2000.0
-
-
-def wire_delay_scale(resistance_per_um: float = DEFAULT_WIRE_RESISTANCE,
-                     capacitance_per_um: float = DEFAULT_WIRE_CAPACITANCE) -> float:
-    """Return the quadratic Elmore coefficient ``r*c/2`` in ps/um^2.
-
-    The Elmore delay of an unbuffered wire of length ``L`` driving zero load
-    is ``(r*c/2) * L**2``; this constant is handy for sizing synthetic
-    workloads so wire delay matches gate delay, as the paper's experimental
-    setup prescribes.
-    """
-    return 0.5 * resistance_per_um * capacitance_per_um

@@ -2,11 +2,12 @@
 
 Two families of guarantees:
 
-* **Registry** — backends register like staticcheck rules and resolve
-  by name.
-* **Bit-identity** — for every registered backend, the block-level
-  ``merge / join / add_buffer / relocate_round / prune / freeze``
-  pipeline must equal a solution-object reference path written directly
+* **Kernel table** — every ``CurveConfig.backend`` value resolves to
+  its kernel, and nothing else does.
+* **Bit-identity** — for both kernels, the block-level
+  ``join / add_buffer / relocate_round / freeze`` pipeline (with the
+  live curves' own ``extend`` and ``prune``) must equal a
+  solution-object reference path written directly
   against :class:`~repro.curves.curve.SolutionCurve` (no kernels
   involved), on random curves.  The reference here is deliberately naive — the point
   is that neither the deferred entries nor the shadow-table skips
@@ -16,6 +17,7 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.bubble_construct import bubble_construct
 from repro.core.config import MerlinConfig
 from repro.curves import contract
+from repro.curves.curve import BACKENDS as CONFIG_BACKENDS
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Buffered, Extend, Join, SinkLeaf, Solution
 from repro.experiments.nets import make_experiment_net
@@ -84,17 +87,14 @@ def _buffer_params(n=6):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Kernel table
 # ----------------------------------------------------------------------
 
 def test_builtin_backends_are_registered():
-    names = contract.kernel_names()
-    assert "python" in names
-    assert "numpy" in names
-    for name in names:
-        kernel = contract.get_kernel(name)
-        assert isinstance(kernel, contract.CurveKernel)
-        assert kernel.name == name
+    assert sorted(CONFIG_BACKENDS) == sorted(BACKENDS)
+    kernels = [contract.get_kernel(name) for name in CONFIG_BACKENDS]
+    assert all(isinstance(k, contract.CurveKernel) for k in kernels)
+    assert len({type(k) for k in kernels}) == len(kernels)
 
 
 def test_get_kernel_is_idempotent_singleton():
@@ -103,14 +103,14 @@ def test_get_kernel_is_idempotent_singleton():
 
 def test_get_kernel_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown curve kernel"):
-        contract.get_kernel("fortran")  # staticcheck: ignore[REG-DANGLING-KEY]
+        contract.get_kernel("fortran")
 
 
-def test_register_kernel_requires_a_name():
-    with pytest.raises(ValueError, match="non-empty name"):
-        @contract.register_kernel
-        class Nameless(contract.CurveKernel):
-            pass
+def test_kernel_contract_is_the_six_engine_operations():
+    ops = {name for name, value in vars(contract.CurveKernel).items()
+           if callable(value) and not name.startswith("_")}
+    assert ops == {"new_curve", "join", "add_buffer", "relocate_round",
+                   "freeze", "thaw"}
 
 
 def test_library_shadow_table_marks_same_bucket_predecessors():
@@ -224,7 +224,7 @@ def _block_of(kernel, sols, config, root=P):
     curve = kernel.new_curve(root, config)
     for s in sols:
         curve.add(s)
-    kernel.prune(curve)
+    curve.prune()
     return kernel.freeze(curve)
 
 
@@ -235,7 +235,7 @@ def _block_of(kernel, sols, config, root=P):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 38])
 def test_block_pipeline_matches_solution_reference(backend, seed):
     """join -> prune -> add_buffer -> prune -> relocate_round -> prune
-    -> freeze -> merge -> freeze on kernel blocks == the naive
+    -> freeze -> extend -> freeze on kernel blocks == the naive
     Solution-object path.
 
     Sizes are drawn from a handful to hundreds of entries, and the
@@ -253,24 +253,24 @@ def test_block_pipeline_matches_solution_reference(backend, seed):
     params = _buffer_params()
 
     kernel = contract.get_kernel(backend)
-    library = kernel.make_library(params, config)
+    library = contract.KernelLibrary(params, config)
     curve = kernel.new_curve(P, config)
     kernel.join(curve, _block_of(kernel, lefts, config),
                 _block_of(kernel, rights, config))
-    kernel.prune(curve)
+    curve.prune()
     kernel.add_buffer(curve, library)
-    kernel.prune(curve)
+    curve.prune()
     sibling = kernel.new_curve(Q, config)
-    kernel.merge(sibling, _block_of(kernel, siblings, config, root=Q))
+    sibling.extend(_block_of(kernel, siblings, config, root=Q))
     kernel.relocate_round([curve, sibling], [0, 1], _Geometry(), library)
-    kernel.prune(curve)
-    kernel.prune(sibling)
+    curve.prune()
+    sibling.prune()
     memo: dict = {}
     block = kernel.freeze(curve, memo)
     sibling_block = kernel.freeze(sibling, memo)
     merged = kernel.new_curve(P, config)
-    kernel.merge(merged, block)
-    kernel.prune(merged)
+    merged.extend(block)
+    merged.prune()
     got = list(kernel.freeze(merged)) + list(sibling_block)
 
     want = _reference(lefts, rights, siblings, params,
@@ -289,11 +289,11 @@ def _relocated_blocks(backend, load_step, seed) -> list:
     config = CurveConfig(load_step=load_step, area_step=3.0,
                          max_solutions=24, backend=backend)
     kernel = contract.get_kernel(backend)
-    library = kernel.make_library(_buffer_params(), config)
+    library = contract.KernelLibrary(_buffer_params(), config)
     curves = []
     for root in roots:
         curve = kernel.new_curve(root, config)
-        kernel.merge(curve, _block_of(
+        curve.extend(_block_of(
             kernel, _random_solutions(rng, rng.randint(1, 30), root=root),
             config, root=root))
         curves.append(curve)
@@ -301,7 +301,7 @@ def _relocated_blocks(backend, load_step, seed) -> list:
     for targets in ([0, 1, 2, 3, 4], [1, 3, 4]):
         kernel.relocate_round(curves, targets, geom, library)
         for curve in curves:
-            kernel.prune(curve)
+            curve.prune()
     memo: dict = {}
     return [kernel.freeze(curve, memo) for curve in curves]
 
@@ -314,7 +314,7 @@ def test_relocate_round_matches_python_over_many_targets(load_step, seed):
     """Each source snapshot feeds three or four targets and both wire
     widths, so offer keys computed once per round are reused across
     targets; the frozen blocks must equal the python backend's."""
-    library = contract.get_kernel("numpy").make_library(
+    library = contract.KernelLibrary(
         _buffer_params(), CurveConfig(load_step=load_step))
     assert library.has_shadows == (load_step == 500.0)
     got = _relocated_blocks("numpy", load_step, seed)
@@ -345,11 +345,11 @@ def test_prune_matches_python_with_many_equal_loads(seed, max_solutions):
                              max_solutions=max_solutions, backend=backend)
         kernel = contract.get_kernel(backend)
         curve = kernel.new_curve(P, config)
-        kernel.merge(curve, sources)
-        kernel.add_buffer(curve, kernel.make_library(params, config),
+        curve.extend(sources)
+        kernel.add_buffer(curve, contract.KernelLibrary(params, config),
                           sources)
-        kernel.merge(curve, pins)
-        kernel.prune(curve)
+        curve.extend(pins)
+        curve.prune()
         results[backend] = [(key, _sig(s)) for key, s in
                             kernel.thaw(curve)._by_bucket.items()]
     loads = [sig[1] for _, sig in results["python"]]
@@ -384,7 +384,7 @@ def _block(attrs) -> list:
        n_buffers=st.integers(min_value=1, max_value=6))
 def test_numpy_keys_stay_the_buckets_of_their_entries(
         ops, load_step, area_step, n_buffers):
-    """Any sequence of merge/join/add_buffer/relocate_round/prune on the
+    """Any sequence of extend/join/add_buffer/relocate_round/prune on the
     numpy backend leaves every key equal to its entry's bucket, so
     (load, area) is unique per curve — the invariant its prune's plain
     tuple sort relies on."""
@@ -392,12 +392,12 @@ def test_numpy_keys_stay_the_buckets_of_their_entries(
     config = CurveConfig(load_step=load_step, area_step=area_step,
                          max_solutions=12)
     kernel = contract.get_kernel("numpy")
-    library = kernel.make_library(_buffer_params(n_buffers), config)
+    library = contract.KernelLibrary(_buffer_params(n_buffers), config)
     curves = [kernel.new_curve(root, config) for root in roots]
     geom = _Geometry(roots)
     for op in ops:
         if op[0] == "merge":
-            kernel.merge(curves[op[1]], _block(op[2]))
+            curves[op[1]].extend(_block(op[2]))
         elif op[0] == "join":
             kernel.join(curves[op[1]], _block(op[2]), _block(op[3]))
         elif op[0] == "buffer":
@@ -405,7 +405,7 @@ def test_numpy_keys_stay_the_buckets_of_their_entries(
         elif op[0] == "relocate":
             kernel.relocate_round(curves, op[1], geom, library)
         else:
-            kernel.prune(curves[op[1]])
+            curves[op[1]].prune()
         for curve in curves:
             entries = list(curve._by_bucket.items())
             assert [key for key, _ in entries] == [
@@ -423,7 +423,7 @@ def test_thaw_round_trips_the_live_curve(backend):
     curve = kernel.new_curve(P, config)
     for s in _random_solutions(rng, 60):
         curve.add(s)
-    kernel.prune(curve)
+    curve.prune()
     thawed = kernel.thaw(curve)
     assert isinstance(thawed, SolutionCurve)
     assert _sigs(thawed.solutions) == \
@@ -442,15 +442,15 @@ def test_shadow_skip_never_changes_the_curve(backend):
     sources = _random_solutions(rng, 30)
 
     kernel = contract.get_kernel(backend)
-    library = kernel.make_library(params, config)
+    library = contract.KernelLibrary(params, config)
     assert library.has_shadows
     curve = kernel.new_curve(P, config)
     for s in sources:
         curve.add(s)
-    kernel.prune(curve)
+    curve.prune()
     pruned_sources = list(kernel.freeze(curve))
     kernel.add_buffer(curve, library)
-    kernel.prune(curve)
+    curve.prune()
     got = list(kernel.freeze(curve))
 
     ref = SolutionCurve(P, CurveConfig(load_step=500.0, area_step=3.0,
@@ -463,6 +463,12 @@ def test_shadow_skip_never_changes_the_curve(backend):
     assert _sigs(got) == _sigs(ref.solutions)
 
 
+def _config(backend: str) -> MerlinConfig:
+    config = MerlinConfig()
+    return config.with_(
+        curve=dataclasses.replace(config.curve, backend=backend))
+
+
 @pytest.mark.parametrize("seed", [5, 7, 8])
 def test_bubble_construct_tracebacks_match_across_backends(seed):
     """The whole driver-level curve of one BUBBLE_CONSTRUCT — every
@@ -473,7 +479,7 @@ def test_bubble_construct_tracebacks_match_across_backends(seed):
     finals = {
         backend: _sigs(bubble_construct(
             net, Order.identity(len(net)), tech,
-            MerlinConfig(backend=backend)).final_solutions)
+            _config(backend)).final_solutions)
         for backend in ("python", "numpy")
     }
     assert finals["numpy"] == finals["python"]

@@ -10,6 +10,7 @@ end-to-end engine; these tests pin the individual kernels against their
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -40,13 +41,8 @@ def _random_solutions(rng, n, span=30):
 
 
 # ----------------------------------------------------------------------
-# Backend resolution
+# Backend names
 # ----------------------------------------------------------------------
-
-def test_resolve_backend_passthrough():
-    assert kernels.resolve_backend("python") == "python"
-    assert kernels.resolve_backend("numpy") == "numpy"
-
 
 def test_unknown_backend_rejected_by_config():
     with pytest.raises(ValueError, match="unknown backend"):
@@ -135,10 +131,16 @@ def test_pending_prune_records_instrumentation():
 # Memory: frozen blocks hold what the python backend's lists hold
 # ----------------------------------------------------------------------
 
+def _config(backend: str) -> MerlinConfig:
+    config = MerlinConfig()
+    return config.with_(
+        curve=dataclasses.replace(config.curve, backend=backend))
+
+
 def _context_bytes(backend: str, net, tech) -> int:
     """Traced bytes a :class:`PTreeContext` still holds (its Γ, range
     and sink memos) after one BUBBLE_CONSTRUCT, once garbage is gone."""
-    config = MerlinConfig(backend=backend)
+    config = _config(backend)
     order = Order.identity(len(net))
     gc.collect()
     tracemalloc.start()
@@ -161,7 +163,7 @@ def test_numpy_context_retains_about_what_python_does():
     net = make_experiment_net("mem2", 3, seed=2)
     for backend in ("python", "numpy"):  # warm one-time caches
         bubble_construct(net, Order.identity(len(net)), tech,
-                         MerlinConfig(backend=backend))
+                         _config(backend))
     python_bytes = _context_bytes("python", net, tech)
     numpy_bytes = _context_bytes("numpy", net, tech)
     assert numpy_bytes <= 1.5 * python_bytes, (numpy_bytes, python_bytes)

@@ -135,21 +135,6 @@ def test_goldens_cover_all_cases():
     assert sorted(goldens) == sorted(expected)
 
 
-def test_service_path_reproduces_the_flow3_golden():
-    """`use_service=True` must be bit-identical to the pinned in-process
-    golden — the service layer is plumbing, not behavior."""
-    golden = _load_goldens()["flow3_a"]
-    result = run_circuit_flow(generate_circuit(SPECS["flows_a"]), FLOW_III,
-                              TECH, CFG, use_service=True)
-    actual = {name: tree_signature(r.tree)
-              for name, r in sorted(result.per_net.items())}
-    assert actual == golden["signatures"]
-    assert result.critical_delay == pytest.approx(
-        golden["critical_delay"], rel=1e-12)
-    assert result.buffer_area == pytest.approx(
-        golden["buffer_area"], rel=1e-12)
-
-
 def regenerate() -> None:
     goldens = {}
     for name, spec_key, flow in FLOW_CASES:

@@ -59,47 +59,3 @@ class TestRunCircuitFlow:
         result = run_circuit_flow(generate_circuit(SPEC), FLOW_I, TECH, CFG)
         assert result.nets_optimized > 0
         assert result.flow == FLOW_I
-
-
-class TestUseService:
-    """`use_service=True` must be a pure plumbing change (satellite of
-    the closure-pipeline PR): bit-identical results through the service
-    batch path, and a hard error for flows the service cannot run."""
-
-    def test_service_path_is_bit_identical_for_flow3(self):
-        from repro.baselines.flows import FLOW_III
-        from repro.routing.export import tree_signature
-
-        direct = run_circuit_flow(generate_circuit(SPEC), FLOW_III,
-                                  TECH, CFG)
-        served = run_circuit_flow(generate_circuit(SPEC), FLOW_III,
-                                  TECH, CFG, use_service=True)
-        assert served.critical_delay == direct.critical_delay
-        assert served.total_area == direct.total_area
-        assert served.buffer_area == direct.buffer_area
-        assert served.nets_optimized == direct.nets_optimized
-        assert ({n: tree_signature(r.tree)
-                 for n, r in served.per_net.items()}
-                == {n: tree_signature(r.tree)
-                    for n, r in direct.per_net.items()})
-        assert all(r.extra.get("service") for r in served.per_net.values())
-
-    def test_shared_service_reuses_its_cache(self):
-        from repro.baselines.flows import FLOW_III
-        from repro.service import OptimizationService, ResultCache
-
-        with OptimizationService(tech=TECH, config=CFG,
-                                 cache=ResultCache(), workers=1) as service:
-            run_circuit_flow(generate_circuit(SPEC), FLOW_III, TECH, CFG,
-                             service=service)
-            again = run_circuit_flow(generate_circuit(SPEC), FLOW_III,
-                                     TECH, CFG, service=service)
-        assert again.nets_optimized > 0
-        assert all(r.extra["cached"] for r in again.per_net.values())
-
-    def test_baseline_flows_are_not_served(self):
-        from repro.resilience.errors import MerlinInputError
-
-        with pytest.raises(MerlinInputError, match="use_service"):
-            run_circuit_flow(generate_circuit(SPEC), FLOW_II, TECH, CFG,
-                             use_service=True)

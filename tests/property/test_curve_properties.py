@@ -23,7 +23,7 @@ def _pruned(backend: str, sols, **config) -> SolutionCurve:
     curve = kernel.new_curve(P, CurveConfig(backend=backend, **config))
     for s in sols:
         curve.add(s)
-    kernel.prune(curve)
+    curve.prune()
     return kernel.thaw(curve)
 
 # Integer-valued attributes: the exactness property below compares the

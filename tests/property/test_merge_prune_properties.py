@@ -63,7 +63,7 @@ def _pruned_curve(sols, config, backend: str = "python") -> SolutionCurve:
     curve = kernel.new_curve(P, _with_backend(config, backend))
     for s in sols:
         curve.add(s)
-    kernel.prune(curve)
+    curve.prune()
     return kernel.thaw(curve)
 
 

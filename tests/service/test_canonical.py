@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tests.conftest import build_net
 from repro.core.config import MerlinConfig
 from repro.core.objective import Objective
+from repro.instrument import Recorder
 from repro.net import Net, Sink, make_net, net_from_dict, net_to_dict
 from repro.service.canonical import (
     canonical_key,
@@ -112,7 +114,12 @@ def test_scheduling_knobs_do_not_split_the_key():
     assert _key(net, config=CONFIG) == \
         _key(net, config=CONFIG.with_(workers=8))
     assert _key(net, config=CONFIG) == \
-        _key(net, config=CONFIG.with_(backend="numpy"))
+        _key(net, config=CONFIG.with_(recorder=Recorder()))
+    # CONFIG runs the default "numpy" kernel; the other one must hit too.
+    python = CONFIG.with_(
+        curve=dataclasses.replace(CONFIG.curve, backend="python"))
+    assert python.curve.backend != CONFIG.curve.backend
+    assert _key(net, config=CONFIG) == _key(net, config=python)
 
 
 def test_technology_splits_the_key():

@@ -176,12 +176,12 @@ def test_facade_is_exported_at_top_level():
 
 
 # ----------------------------------------------------------------------
-# MerlinConfig.backend promotion (satellite)
+# The curve kernel is selected by CurveConfig.backend alone
 # ----------------------------------------------------------------------
 
 def test_config_backend_none_keeps_curve_backend():
     config = MerlinConfig.test_preset()
-    assert config.backend is None
+    assert "backend" not in {f.name for f in dataclasses.fields(config)}
     assert config.curve.backend == "numpy"
     assert MerlinConfig().curve.resolved_backend() == "numpy"
 
@@ -190,6 +190,7 @@ def test_config_backend_none_keeps_curve_backend():
 #: the default backend and on python; argv[1] == "blocked" makes every
 #: ``import numpy`` raise first.
 _NUMPY_PROBE = """
+import dataclasses
 import json
 import sys
 
@@ -202,7 +203,8 @@ from repro.experiments.nets import make_experiment_net
 net = make_experiment_net("np3", 3, seed=1)
 config = MerlinConfig.test_preset()
 default = repro.optimize(net, config=config)
-python = repro.optimize(net, config=config.with_(backend="python"))
+python = repro.optimize(net, config=config.with_(
+    curve=dataclasses.replace(config.curve, backend="python")))
 print(json.dumps({
     "numpy_loaded": sys.modules.get("numpy") is not None,
     "backend": config.curve.backend,
@@ -229,23 +231,11 @@ def test_runtime_never_imports_numpy_and_runs_without_it(mode):
     assert report["default_signature"] == report["python_signature"]
 
 
-def test_config_backend_normalizes_into_curve():
-    config = MerlinConfig.test_preset().with_(backend="python")
-    assert config.curve.backend == "python"
-    fast = MerlinConfig.test_preset().with_(backend="numpy")
-    assert fast.curve.backend == "numpy"
-
-
-def test_config_backend_overrides_curve_setting():
-    base = MerlinConfig.test_preset()
-    curve = dataclasses.replace(base.curve, backend="numpy")
-    config = base.with_(curve=curve, backend="python")
-    assert config.curve.backend == "python"
-
-
 def test_config_backend_validation():
-    with pytest.raises(ValueError):
-        MerlinConfig.test_preset().with_(backend="fortran")
+    config = MerlinConfig.test_preset()
+    with pytest.raises(ValueError, match="unknown backend"):
+        config.with_(curve=dataclasses.replace(config.curve,
+                                               backend="fortran"))
 
 
 def test_config_workers_field():

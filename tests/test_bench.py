@@ -218,3 +218,19 @@ def test_main_writes_versioned_json(tmp_path, monkeypatch):
 def test_main_rejects_unknown_backend(capsys):
     with pytest.raises(SystemExit):
         bench.main(["--backends", "fortran"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "x"], ["--workers", ","], ["--workers", "0"],
+    ["--workers", "1,-2"], ["--workers", "1,"], ["--workers", "1.5"],
+    ["--backends", ","]])
+def test_main_rejects_bad_lists_before_any_case_runs(flags, monkeypatch,
+                                                     capsys):
+    def run_suite(*args):
+        raise AssertionError("a case ran before the flags were checked")
+
+    monkeypatch.setattr(bench, "run_suite", run_suite)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(flags)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

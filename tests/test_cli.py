@@ -42,19 +42,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "iteration_1" in out
 
-    def test_net_backend_flag_is_a_thin_override(self, capsys):
-        import re
-
-        def scrub(text):  # wall-clock fields differ run to run
-            return re.sub(r"time=\s*[\d.]+", "time=X", text)
-
-        # No flag: config backend untouched (python); with flag: same
-        # result either way (backends are bit-identical).
-        assert main(["net", "--sinks", "3", "--seed", "1"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["net", "--sinks", "3", "--seed", "1",
-                     "--backend", "python"]) == 0
-        assert scrub(capsys.readouterr().out) == scrub(plain)
+    @pytest.mark.parametrize("command",
+                             ["net", "serve", "loadgen", "closure"])
+    def test_no_subcommand_takes_a_backend_flag(self, command, capsys):
+        """The curve kernel is CurveConfig.backend, not a CLI option."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--backend" not in capsys.readouterr().out
 
 
 class TestResolveCliWorkers:
