@@ -230,10 +230,12 @@ def run_parallel_case(case: Dict[str, Any],
 def run_service_case(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
     """Measure the batch engine three ways on one pinned net stream.
 
-    * ``cold``: a fresh service (fresh pool, fresh cache) per net — every
-      net pays process spawn, the pre-PR-3 cost model;
-    * ``warm``: one persistent service streams the whole batch through
-      its warm pool (``optimize_many``);
+    * ``cold``: a fresh service (fresh cache, no pool) per net — a
+      one-net ``optimize`` on it runs inline, so this pass times service
+      construction plus one serial solve per net, with no process spawn;
+    * ``warm``: one persistent service solves the whole batch in one
+      ``optimize_many`` — at ``workers > 1`` that spawns its pool once
+      and runs the nets in parallel;
     * ``cache``: the same warm service asked again — every net is a
       canonical-cache hit, no DP at all.
 

@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     merlin-repro ablation {candidates,orders,alpha,bubbling,convergence,curves}
     merlin-repro serve --port N [--workers K] [--cache-dir DIR]
                        [--budget-ops N] [--deadline S] [--pool-retries N]
-                       [--shards N] [--queue-limit N]
+                       [--queue-limit N]
     merlin-repro loadgen [--url URL | (self-serve)]
                          [--requests N] [--concurrency C] [--record FILE]
                          [--replay FILE] [--out BENCH_serve.json]
@@ -23,7 +23,8 @@ Usage (after ``pip install -e .``)::
 their parsers: ``main`` hands them the rest of argv, so no other
 subcommand imports the analyzer or the bench harness.
 
-``--workers`` is a thin override of ``MerlinConfig.workers``.  The
+``--workers`` is a thin override of ``MerlinConfig.workers``: 0 means
+one per CPU, and a negative count is a usage error (exit 2).  The
 curve kernel is ``CurveConfig.backend``: subcommands run its default
 (``"numpy"``), library users pick the scalar reference with
 ``config.with_(curve=dataclasses.replace(config.curve,
@@ -78,7 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "
                             "tree, instead of running the flow comparison")
-    p_net.add_argument("--workers", type=int, default=None,
+    p_net.add_argument("--workers", type=_worker_count, default=None,
                        help="process fan-out override for --multi-start "
                             "(default: the config's workers, i.e. 1; "
                             "0 = one per CPU)")
@@ -98,21 +99,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_ab.add_argument("--seed", type=int, default=1)
 
     p_srv = sub.add_parser(
-        "serve", help="run the sharded asyncio HTTP optimization service "
+        "serve", help="run the asyncio HTTP optimization service "
                       "(v1 API: POST /v1/optimize, POST /v1/closure, "
                       "GET /v1/stats, GET /v1/healthz)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8731)
     p_srv.add_argument("--async", action="store_true",
-                       help="accepted for compatibility; the sharded "
-                            "asyncio front end is the only one")
-    p_srv.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="worker-pool shards (default 2)")
+                       help="accepted for compatibility; the asyncio "
+                            "front end is the only one")
     p_srv.add_argument("--queue-limit", type=int, default=64, metavar="N",
                        help="max in-flight requests before answering "
                             "429 + Retry-After (default 64)")
-    p_srv.add_argument("--workers", type=int, default=None,
-                       help="warm-pool size per shard (default: the "
+    p_srv.add_argument("--workers", type=_worker_count, default=None,
+                       help="warm-pool size of the service (default: the "
                             "config's workers; 0 = one per CPU; 1 = "
                             "serial)")
     p_srv.add_argument("--preset", choices=["fast", "test", "paper"],
@@ -132,8 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--pool-retries", type=int, default=2, metavar="N",
                        help="rebuild a crashed worker pool up to N times "
                             "before finishing jobs serially (default 2)")
-    p_srv.add_argument("--cache-capacity", type=int, default=256,
-                       help="in-memory LRU entries (default 256)")
+    p_srv.add_argument("--cache-capacity", type=int, default=512,
+                       help="in-memory LRU entries (default 512)")
     p_srv.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persist results as JSON under DIR (off by "
                             "default)")
@@ -149,8 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "BENCH_serve.json, equivalence-class gate)")
     p_lg.add_argument("--url", default=None, metavar="URL",
                       help="target an already-running front end; without "
-                           "it a sharded server is spun up in-process "
-                           "for the run")
+                           "it a server is spun up in-process for the run")
     p_lg.add_argument("--requests", type=int, default=64)
     p_lg.add_argument("--nets", type=int, default=16, metavar="N",
                       help="distinct underlying nets (default 16)")
@@ -179,15 +177,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_lg.add_argument("--no-check", action="store_true",
                       help="skip the per-replay equivalence-class "
                            "signature gate")
-    p_lg.add_argument("--shards", type=int, default=2,
-                      help="shards of the in-process server "
-                           "(self-serve mode)")
     p_lg.add_argument("--queue-limit", type=int, default=64)
-    p_lg.add_argument("--workers", type=int, default=1,
-                      help="warm-pool size per service (default 1)")
+    p_lg.add_argument("--workers", type=_worker_count, default=1,
+                      help="warm-pool size of the in-process service "
+                           "(default 1; 0 = one per CPU)")
     p_lg.add_argument("--preset", choices=["fast", "test", "paper"],
                       default="fast",
-                      help="MerlinConfig preset of in-process services "
+                      help="MerlinConfig preset of the in-process service "
                            "(default fast)")
 
     p_cls = sub.add_parser(
@@ -222,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="fast",
                        help="MerlinConfig preset for the per-net "
                             "optimizations (default fast)")
-    p_cls.add_argument("--workers", type=int, default=None,
+    p_cls.add_argument("--workers", type=_worker_count, default=None,
                        help="service warm-pool size (default: the "
                             "config's workers; 0 = one per CPU)")
     p_cls.add_argument("--json", action="store_true",
@@ -373,6 +369,19 @@ def _run_multi_start(args, net, tech, config) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """The type of every ``--workers``: an integer >= 0 (0 = one per
+    CPU); anything else is a usage error, exit 2."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0 (0 = one per CPU), got {text!r}")
+    return count
+
+
 def _resolve_cli_workers(cli_workers, config) -> int:
     """CLI worker override: None = config's value, 0 = one per CPU."""
     from repro import parallel
@@ -395,30 +404,22 @@ def _resolve_preset_config(preset: str) -> MerlinConfig:
 
 def _run_serve(args) -> int:
     from repro.serve import serve_async
-    from repro.service import OptimizationService
+    from repro.service import OptimizationService, ResultCache
 
     config = _resolve_preset_config(args.preset)
-    workers = _resolve_cli_workers(args.workers, config)
-
-    def service_factory(cache) -> OptimizationService:
-        return OptimizationService(
+    with OptimizationService(
             tech=default_technology(),
             config=config,
-            cache=cache,
-            workers=workers,
+            cache=ResultCache(capacity=args.cache_capacity,
+                              disk_dir=args.cache_dir),
+            workers=_resolve_cli_workers(args.workers, config),
             job_timeout_s=args.job_timeout,
             budget_ops=args.budget_ops,
             deadline_s=args.deadline,
-            pool_retries=args.pool_retries,
-        )
-
-    serve_async(args.host, args.port,
-                shards=args.shards,
-                queue_limit=args.queue_limit,
-                cache_capacity=args.cache_capacity,
-                disk_dir=args.cache_dir,
-                service_factory=service_factory,
-                drain_timeout_s=args.drain_timeout)
+            pool_retries=args.pool_retries) as service:
+        serve_async(args.host, args.port, service,
+                    queue_limit=args.queue_limit,
+                    drain_timeout_s=args.drain_timeout)
     return 0
 
 
@@ -461,8 +462,6 @@ def _run_loadgen(args) -> int:
               f"({len(workload)} requests)")
 
     config = _resolve_preset_config(args.preset)
-    service_kwargs = {"config": config, "workers": args.workers,
-                      "tech": default_technology()}
     mode = "replay"
     if args.url is not None:
         report = run_workload(args.url, workload,
@@ -471,17 +470,17 @@ def _run_loadgen(args) -> int:
         mode = "self-serve"
         from repro.serve.embedded import EmbeddedAsyncServer
 
-        with EmbeddedAsyncServer(shards=args.shards,
-                                 queue_limit=args.queue_limit,
-                                 **service_kwargs) as server:
+        with EmbeddedAsyncServer(
+                queue_limit=args.queue_limit, config=config,
+                workers=_resolve_cli_workers(args.workers, config),
+                tech=default_technology()) as server:
             report = run_workload(server.base_url, workload,
                                   concurrency=args.concurrency)
     failures = [] if args.no_check else check_equivalence(workload, report)
     print(render_trend(report))
     if args.out is not None:
         write_bench_serve(report, args.out, tag=args.tag,
-                          extra={"mode": mode, "shards": args.shards,
-                                 "preset": args.preset})
+                          extra={"mode": mode, "preset": args.preset})
         print(f"artifact written to {args.out}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -81,8 +81,6 @@ SERVICE_JOB_TIMEOUTS = "service.job.timeouts"
 SERVE_ADMITTED = "serve.admitted"
 #: Requests rejected with 429 because the bounded queue was full.
 SERVE_REJECTED = "serve.rejected"
-#: Requests rerouted inline because their shard could not take them.
-SERVE_SHARD_FAILOVERS = "serve.shard.failovers"
 #: Requests refused with 503 because the front end was draining.
 SERVE_DRAIN_REFUSALS = "serve.drain.refusals"
 
@@ -155,12 +153,6 @@ def service_endpoint_requests(endpoint: str) -> str:
     """Per-endpoint request counter (``service.endpoint.<name>.requests``,
     endpoint names without the leading slash: optimize, stats, healthz)."""
     return f"service.endpoint.{endpoint}.requests"
-
-
-def serve_shard_requests(shard: int) -> str:
-    """Per-shard dispatch counter of the async front end
-    (``serve.shard.<index>.requests``)."""
-    return f"serve.shard.{shard}.requests"
 
 
 def resilience_fault(site: str) -> str:

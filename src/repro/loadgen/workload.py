@@ -12,12 +12,11 @@ Shape of the traffic: mostly distinct optimize requests over seeded
 experiment nets (:func:`repro.experiments.nets.make_experiment_net`),
 salted with two kinds of repeats that a serving tier must handle well:
 
-* **exact repeats** — the same net again (LRU hit on its shard);
+* **exact repeats** — the same net again (an LRU hit);
 * **disguised repeats** — an earlier net with every name rewritten
   (``twin_fraction``).  These exercise the whole point of canonical
-  signatures: the shard router and the cache must both see through the
-  disguise, so twins hit the same shard's cache even though their JSON
-  labels differ everywhere.
+  signatures: the cache must see through the disguise, so twins hit the
+  same cache entry even though their JSON labels differ everywhere.
 
 Twins are rename-only by default.  The canonical cache also identifies
 *translated* twins, but translation changes the absolute coordinates

@@ -95,11 +95,10 @@ class ComputeBudget:
         """A budget for one ladder rung: fresh ops counter, *shared*
         absolute deadline.
 
-        Each rung (and each start of a multi-start rung) gets the full
-        ops allowance — keeping ops exhaustion a deterministic property
-        of the rung's own work — while wall-clock keeps draining from
-        the moment the original budget started, so falling down the
-        ladder cannot extend the deadline.
+        Each rung gets the full ops allowance — keeping ops exhaustion
+        a deterministic property of the rung's own work — while
+        wall-clock keeps draining from the moment the original budget
+        started, so falling down the ladder cannot extend the deadline.
         """
         self.start()
         return ComputeBudget(max_ops=self.max_ops,

@@ -4,24 +4,21 @@
 cheaper strategies ("rungs") and returns the first one that completes
 within its compute budget:
 
-1. ``multi_start``     — restarts from several initial orders (only when
-   the caller asked for seeds); the full-quality path.
-2. ``single_start``    — one deterministic MERLIN run from the TSP
-   order; what the service runs by default.
-3. ``coarse_curves``   — one MERLIN iteration under aggressively
+1. ``single_start``    — one deterministic MERLIN run from the TSP
+   order; the full-quality path.
+2. ``coarse_curves``   — one MERLIN iteration under aggressively
    coarsened knobs (4x curve quantization steps, thinned candidates and
    library, α ≤ 3): the DP's pseudo-polynomial terms shrink by orders
    of magnitude, trading quality for a much smaller op count.
-4. ``buffered_star``   — the O(n) search-free baseline
+3. ``buffered_star``   — the O(n) search-free baseline
    (:func:`repro.baselines.star.buffered_star`); cannot exhaust any
    budget and cannot fail on a valid net.
 
-Budget semantics: every rung (and every start within the multi-start
-rung) is charged against a *child* of the caller's budget — a fresh ops
-counter over a shared absolute deadline (see
-:meth:`~repro.resilience.budget.ComputeBudget.child`).  Ops exhaustion
-is therefore deterministic per rung, while wall-clock keeps draining
-across rungs so the ladder cannot extend a deadline by falling.
+Budget semantics: every rung is charged against a *child* of the
+caller's budget — a fresh ops counter over a shared absolute deadline
+(see :meth:`~repro.resilience.budget.ComputeBudget.child`).  Ops
+exhaustion is therefore deterministic per rung, while wall-clock keeps
+draining across rungs so the ladder cannot extend a deadline by falling.
 
 The outcome is always tagged: ``degraded=False`` with ``rung`` naming
 the first (intended) strategy when nothing failed — bit-identical to
@@ -30,16 +27,16 @@ or ``degraded=True`` with the machine-readable ``attempts`` log and a
 human-readable ``reason`` otherwise.
 
 Layering note: this module sits low (``resilience`` is rank 1) so the
-engine can import the taxonomy; its imports of the engine, the parallel
-drivers and the star baseline are deliberately lazy (function-body),
-the sanctioned pattern the ``LAY-UPWARD`` rule exempts.
+engine can import the taxonomy; its imports of the engine and the star
+baseline are deliberately lazy (function-body), the sanctioned pattern
+the ``LAY-UPWARD`` rule exempts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.instrument import names as metric
 from repro.instrument.recorder import active_recorder
@@ -50,13 +47,12 @@ from repro.resilience.errors import (
     classify,
 )
 
-RUNG_MULTI_START = "multi_start"
 RUNG_SINGLE_START = "single_start"
 RUNG_COARSE = "coarse_curves"
 RUNG_STAR = "buffered_star"
 
 #: Ladder order, top (best quality) to bottom (cheapest).
-LADDER_RUNGS = (RUNG_MULTI_START, RUNG_SINGLE_START, RUNG_COARSE, RUNG_STAR)
+LADDER_RUNGS = (RUNG_SINGLE_START, RUNG_COARSE, RUNG_STAR)
 
 
 @dataclass
@@ -105,15 +101,11 @@ def coarsened_config(config: Any) -> Any:
 
 def run_with_ladder(net: Any, tech: Any, config: Any = None,
                     objective: Any = None,
-                    budget: Optional[ComputeBudget] = None,
-                    seeds: Optional[Sequence[Optional[int]]] = None,
-                    workers: Optional[int] = None) -> LadderOutcome:
+                    budget: Optional[ComputeBudget] = None) -> LadderOutcome:
     """Optimize ``net`` down the degradation ladder; see module docstring.
 
-    ``seeds`` (two or more entries) enables the ``multi_start`` top
-    rung; otherwise the ladder starts at ``single_start``.  ``budget``
-    is optional — without one the first rung simply runs to completion
-    and only genuine engine failures cause degradation.
+    ``budget`` is optional — without one the first rung simply runs to
+    completion and only genuine engine failures cause degradation.
     """
     from repro.core.config import MerlinConfig
     from repro.core.objective import Objective
@@ -123,15 +115,13 @@ def run_with_ladder(net: Any, tech: Any, config: Any = None,
     if budget is not None:
         budget.start()
 
-    rungs: List[Tuple[str, Callable[[], LadderOutcome]]] = []
-    if seeds is not None and len(seeds) >= 2:
-        rungs.append((RUNG_MULTI_START, lambda: _run_multi_start(
-            net, tech, config, objective, budget, seeds, workers)))
-    rungs.append((RUNG_SINGLE_START, lambda: _run_merlin(
-        net, tech, config, objective, budget, RUNG_SINGLE_START)))
-    rungs.append((RUNG_COARSE, lambda: _run_merlin(
-        net, tech, coarsened_config(config), objective, budget,
-        RUNG_COARSE)))
+    rungs: List[Tuple[str, Callable[[], LadderOutcome]]] = [
+        (RUNG_SINGLE_START, lambda: _run_merlin(
+            net, tech, config, objective, budget, RUNG_SINGLE_START)),
+        (RUNG_COARSE, lambda: _run_merlin(
+            net, tech, coarsened_config(config), objective, budget,
+            RUNG_COARSE)),
+    ]
 
     rec = active_recorder()
     attempts: List[Dict[str, Any]] = []
@@ -192,36 +182,6 @@ def _run_merlin(net: Any, tech: Any, config: Any, objective: Any,
         rung=rung,
         degraded=False,
         cost_trace=list(result.cost_trace),
-    )
-
-
-def _run_multi_start(net: Any, tech: Any, config: Any, objective: Any,
-                     budget: Optional[ComputeBudget],
-                     seeds: Sequence[Optional[int]],
-                     workers: Optional[int]) -> LadderOutcome:
-    from repro import parallel
-
-    # Each start charges its own child budget (fresh ops counter), so
-    # exhaustion is per-start deterministic and independent of whether
-    # the starts run serially or across a pool.
-    tasks = [
-        parallel.ParallelTask(
-            net=net, tech=tech,
-            config=config.with_(budget=_child_budget(budget)),
-            objective=objective, initial_order=order, label=label)
-        for label, order in parallel.multi_start_orders(net, seeds)
-    ]
-    result = parallel.run_tasks(tasks, workers=workers)
-    best = result.best
-    return LadderOutcome(
-        tree=best.tree,
-        signature=best.signature,
-        cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
-        rung=RUNG_MULTI_START,
-        degraded=False,
-        cost_trace=list(best.cost_trace),
     )
 
 

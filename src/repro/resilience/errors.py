@@ -113,11 +113,6 @@ class AdmissionRejectedError(MerlinResourceError):
     right response, unlike the generic 503 resource failures)."""
 
 
-class ShardUnavailableError(MerlinResourceError):
-    """A sharded worker pool could not take the request and the inline
-    fallback failed too (shard-down normally degrades silently)."""
-
-
 class UnknownPathError(MerlinInputError):
     """The request named an HTTP path no front end serves (404)."""
 
@@ -144,9 +139,8 @@ _KINDS: Dict[str, Type[MerlinError]] = {
         MerlinError, MerlinInputError, MerlinResourceError,
         MerlinInternalError, MalformedNetError, JobTimeoutError,
         WorkerCrashError, PoolUnavailableError, BudgetExhaustedError,
-        CacheCorruptionError, AdmissionRejectedError,
-        ShardUnavailableError, UnknownPathError, ServerDrainingError,
-        JournalCorruptError, FaultInjected,
+        CacheCorruptionError, AdmissionRejectedError, UnknownPathError,
+        ServerDrainingError, JournalCorruptError, FaultInjected,
     )
 }
 

@@ -76,9 +76,12 @@ def evaluate_tree(tree: RoutingTree, tech: Technology) -> TreeEvaluation:
         _propagate(root, start_delay, loads, arrivals, tech)
         driver_load = loads[id(root)]
     else:
-        # Partial tree: no driver stage; arrival starts at 0 at the root.
+        # Partial tree: no driver stage; arrival starts at 0 at the root's
+        # input, so the load it presents is what the root shows upstream:
+        # a root buffer's input capacitance, not the load it drives.
         _propagate(root, 0.0, loads, arrivals, tech)
-        driver_load = loads[id(root)]
+        driver_load = (root.buffer.input_cap if isinstance(root, BufferNode)
+                       else loads[id(root)])
 
     missing = set(range(len(net.sinks))) - set(arrivals)
     if missing:

@@ -6,10 +6,10 @@ manager owns the thread/loop plumbing so call sites stay three lines.
 
 ::
 
-    with EmbeddedAsyncServer(shards=4, workers=1) as server:
+    with EmbeddedAsyncServer(workers=1) as server:
         report = run_workload(server.base_url, workload)
 
-    with EmbeddedAsyncServer(services=[service]) as server:
+    with EmbeddedAsyncServer(service=service) as server:
         MerlinClient(server.base_url).optimize(net)
 """
 
@@ -17,34 +17,29 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.service.engine import OptimizationService
-from repro.serve.server import (
-    DEFAULT_QUEUE_LIMIT,
-    AsyncShardedServer,
-    build_shard_services,
-)
+from repro.serve.server import DEFAULT_QUEUE_LIMIT, AsyncServer
 
 
 class EmbeddedAsyncServer:
-    """An :class:`AsyncShardedServer` on a daemon event-loop thread.
+    """An :class:`AsyncServer` on a daemon event-loop thread.
 
-    Pass ready-made ``services`` (their lifetime stays yours) or let the
-    constructor build ``shards`` services from ``service_kwargs`` (then
-    they are closed on exit).
+    Pass a ready-made ``service`` (its lifetime stays yours) or let the
+    constructor build one from ``service_kwargs`` (then it is closed on
+    exit).
     """
 
-    def __init__(self, services: Optional[Sequence[OptimizationService]]
-                 = None, shards: int = 2,
+    def __init__(self, service: Optional[OptimizationService] = None,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  host: str = "127.0.0.1",
                  **service_kwargs: Any) -> None:
-        self._owns_services = services is None
-        if services is None:
-            services = build_shard_services(shards, **service_kwargs)
-        self.server = AsyncShardedServer(
-            services, host=host, queue_limit=queue_limit)
+        self._owns_service = service is None
+        if service is None:
+            service = OptimizationService(**service_kwargs)
+        self.server = AsyncServer(service, host=host,
+                                  queue_limit=queue_limit)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._host = host
@@ -82,7 +77,7 @@ class EmbeddedAsyncServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=30)
-        self.server.close(close_services=self._owns_services)
+        self.server.close(close_service=self._owns_service)
 
     def drain(self, timeout_s: float = 30.0) -> dict:
         """Run the server's graceful drain from the caller's thread."""

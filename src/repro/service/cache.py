@@ -245,9 +245,10 @@ class ResultCache:
         blob = fault_point("service.cache.write", data=blob, key=key)
         tmp = None
         try:
-            # One temp file per call: shards of one server share the pid
-            # and the disk tier, so a pid-named temp file would let two
-            # writers of the same key interleave into a torn entry.
+            # One temp file per call: the handler threads of one server
+            # (and services sharing one process) share the pid and the
+            # disk tier, so a pid-named temp file would let two writers
+            # of the same key interleave into a torn entry.
             fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
             with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(blob)

@@ -130,7 +130,7 @@ def canonical_request(net: Net, tech: Technology, config: MerlinConfig,
     behavior — two requests collide iff these dicts are equal).
 
     ``tech_fingerprint_hex`` lets long-lived callers (the optimization
-    service, the async sharding front end) pass a precomputed
+    service) pass a precomputed
     :func:`technology_fingerprint` instead of re-serializing the whole
     buffer library on every request — the dominant cost of key
     construction for small nets.

@@ -1,12 +1,15 @@
 """The batch optimization engine: a warm process pool behind a cache.
 
 :class:`OptimizationService` is the long-lived object the ROADMAP's
-serving axis asks for.  Construction is cheap; the first cache-missing
-job spawns a ``ProcessPoolExecutor`` **once**, and every subsequent
-batch streams jobs into the same warm workers — the process-spawn and
-import cost that dominates short jobs is paid once per service lifetime
-instead of once per net (the bench harness's ``service`` scenario
-measures exactly this against per-net cold fan-out).
+serving axis asks for.  Construction is cheap.  With ``workers > 1`` the
+first cache-missing batch of two or more nets (or any miss under a
+timeout) spawns a ``ProcessPoolExecutor`` **once**, and every later
+batch streams jobs into the same warm workers, so process spawn and
+import are paid once per service lifetime.  A one-net batch with no
+timeout on a service without a pool runs inline instead: spawning the
+pool would cost more than the job.  The bench harness's ``service``
+scenario times a fresh service per net (one inline solve each) against
+one service solving the whole batch.
 
 Contract per job:
 
@@ -293,8 +296,7 @@ class OptimizationService:
     @property
     def tech_fingerprint(self) -> str:
         """Precomputed :func:`technology_fingerprint` of this service's
-        technology (shared with front ends that canonicalize for
-        routing, so shard keys and cache keys agree byte-for-byte)."""
+        technology (the closure journal stamps it into its header)."""
         return self._tech_fingerprint
 
     def canonical_key_for(self, net: Net,

@@ -1,7 +1,7 @@
 """The versioned v1 service protocol.
 
 This module is the single definition of the service's wire surface: the
-async sharded front end (:mod:`repro.serve`) parses requests, runs the
+async front end (:mod:`repro.serve`) parses requests, runs the
 work-bearing endpoints, and renders bodies through the functions here,
 and the v1 schema tests pin *this* module.
 
@@ -194,7 +194,7 @@ def _prefixed(record: ErrorRecord, prefix: str) -> ErrorRecord:
 
 
 # -- work-bearing endpoint handlers (blocking; called from the async ----
-# -- front end's shard executors) ---------------------------------------
+# -- front end's handler threads) ---------------------------------------
 
 
 def handle_optimize(service: Any, body: Any,

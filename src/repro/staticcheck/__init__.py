@@ -21,7 +21,7 @@ warm process pool — the coding patterns those invariants depend on:
   import graph across ``repro.*`` must stay acyclic;
 * **async safety** — no blocking calls inside the serving tier's
   coroutines, no discarded coroutine objects, no unlocked state shared
-  between the event loop and shard worker threads;
+  between the event loop and handler threads;
 * **registry contracts** — fault-site, instrument-metric, and
   kernel/ordering string keys must match a real registration on the
   other side of the string.

@@ -70,7 +70,7 @@ PACKAGE_LAYERS: Dict[str, int] = {
     "netlist": 6,
     # experiment harnesses, the long-running service, and the
     # full-netlist timing-closure pipeline that drives the service;
-    # the serving tier (async sharded front end) and the typed API
+    # the serving tier (async front end) and the typed API
     # client sit beside the service they front
     "experiments": 7, "service": 7, "pipeline": 7, "serve": 7,
     "client": 7,

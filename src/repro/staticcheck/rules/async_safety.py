@@ -2,9 +2,8 @@
 
 The asyncio front end multiplexes every connection onto one event
 loop; a single blocking call inside a coroutine stalls *all* in-flight
-requests, and state shared between the loop and the shard worker
-threads needs a lock.  Three rules police the conventions PR 8's
-serving stack established:
+requests, and state shared between the loop and the handler threads
+needs a lock.  Three rules police the serving stack's conventions:
 
 ``ASYNC-BLOCKING`` — a known-blocking call (``time.sleep``, sync
 socket/subprocess/urllib IO, bare ``open``/``input``, an

@@ -1,7 +1,7 @@
 """Registry-contract rules: string-keyed registries must stay closed.
 
 The reproduction wires subsystems together through string keys — fault
-sites (``fault_point("serve.shard")`` matched by ``MERLIN_FAULTS``
+sites (``fault_point("serve.admission")`` matched by ``MERLIN_FAULTS``
 globs and ``FaultSpec``s), instrument metric names
 (:mod:`repro.instrument.names`), and the ordering registry
 (``@register_ordering`` looked up by ``get_ordering``).  A typo on

@@ -1,7 +1,7 @@
 """End-to-end: a workload replayed over HTTP answers what the engine does.
 
 The in-suite (small) version of the ``async-serve-smoke`` CI job: the
-same workload goes once through the sharded front end and once straight
+same workload goes once through the front end and once straight
 into :meth:`OptimizationService.optimize_many`, and every request must
 carry the same tree signature both ways.
 """
@@ -27,7 +27,7 @@ SERVICE_KWARGS = dict(config=MerlinConfig.test_preset(), workers=1)
 
 def test_replay_matches_direct_optimize_many():
     workload = generate_workload(SPEC)
-    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as server:
+    with EmbeddedAsyncServer(**SERVICE_KWARGS) as server:
         report = run_workload(server.base_url, workload, concurrency=2)
     counts = report.counts()
     assert counts["ok"] == counts["requests"] == len(workload)

@@ -1,12 +1,13 @@
 """Concurrent corruption recovery on the shared disk-cache tier.
 
-Two shards share one disk directory (the async tier's warm tier).  When
-both race a torn entry at the same moment, each must detect the
-corruption independently, quarantine it (best-effort: losing the
-``os.replace`` race is fine), and recompute — landing on bit-identical
-answers, because the engine is deterministic.  Also covers the drain
-path's :meth:`ResultCache.flush`, which persists memory-tier entries
-the disk tier has not seen yet, and two shards writing one key at once.
+Two services share one disk directory, as servers sharing one
+``--cache-dir`` do.  When both race a torn entry at the same moment,
+each must detect the corruption independently, quarantine it
+(best-effort: losing the ``os.replace`` race is fine), and recompute —
+landing on bit-identical answers, because the engine is deterministic.
+Also covers the drain path's :meth:`ResultCache.flush`, which persists
+memory-tier entries the disk tier has not seen yet, and two services
+writing one key at once.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ def test_two_shards_racing_a_torn_entry_both_recover_identically(tmp_path):
     assert cold.ok
     entry = _tear_the_single_entry(disk)
 
-    # Two independent shards: own memory tiers (both empty), shared disk
+    # Two independent services: own memory tiers (both empty), shared disk
     # tier holding only the torn entry.  The barrier releases the reads
     # together and a hang at the ``service.cache.read`` seam (which sits
-    # *after* the file read) holds both shards with the torn bytes in
+    # *after* the file read) holds both services with the torn bytes in
     # hand — so neither can win the quarantine race before the other has
     # read, and both must detect the corruption themselves.
-    shards = [_service(disk), _service(disk)]
+    services = [_service(disk), _service(disk)]
     barrier = threading.Barrier(2)
     results = [None, None]
     plan = FaultPlan(seed=9, specs=(
@@ -66,7 +67,7 @@ def test_two_shards_racing_a_torn_entry_both_recover_identically(tmp_path):
 
     def hit(index):
         barrier.wait()
-        results[index] = shards[index].optimize(net)
+        results[index] = services[index].optimize(net)
 
     threads = [threading.Thread(target=hit, args=(i,)) for i in range(2)]
     try:
@@ -75,10 +76,10 @@ def test_two_shards_racing_a_torn_entry_both_recover_identically(tmp_path):
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-        stats = [shard.stats() for shard in shards]
+        stats = [service.stats() for service in services]
     finally:
-        for shard in shards:
-            shard.close()
+        for service in services:
+            service.close()
 
     # Both recomputed (neither replayed the torn bytes) and both landed
     # on the seeder's exact answer.
@@ -87,7 +88,7 @@ def test_two_shards_racing_a_torn_entry_both_recover_identically(tmp_path):
         assert not result.cached
         assert result.signature == cold.signature
 
-    # Every shard detected the corruption itself; the quarantine move is
+    # Every service detected the corruption itself; the quarantine move is
     # won by exactly one (losing the race is tolerated, not an error).
     for stat in stats:
         assert stat["cache"]["corruptions"] == 1
@@ -96,7 +97,7 @@ def test_two_shards_racing_a_torn_entry_both_recover_identically(tmp_path):
     assert quarantined == 1
     assert os.listdir(os.path.join(disk, QUARANTINE_DIR)) == [entry]
 
-    # One recompute re-wrote the entry valid: a fresh shard now gets a
+    # One recompute re-wrote the entry valid: a fresh service now gets a
     # clean warm hit.
     with _service(disk) as fresh:
         warm = fresh.optimize(net)
@@ -138,7 +139,7 @@ def test_flush_without_a_disk_tier_is_a_noop():
 
 def test_two_shards_writing_one_key_leave_a_valid_entry(tmp_path,
                                                         monkeypatch):
-    # Two shards of one server (same pid) write the same key with
+    # Two services of one process (same pid) write the same key with
     # payloads of different lengths, as engine_wall_s makes them.  The
     # patched open() holds both writers until each has its temp file
     # open, then lets the long payload land before the short one: a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from tests.conftest import build_net
@@ -13,7 +15,6 @@ from repro.resilience.budget import ComputeBudget
 from repro.resilience.degrade import (
     LADDER_RUNGS,
     RUNG_COARSE,
-    RUNG_MULTI_START,
     RUNG_SINGLE_START,
     RUNG_STAR,
     coarsened_config,
@@ -37,15 +38,6 @@ def test_unbudgeted_ladder_is_bit_identical_to_plain_merlin():
     assert outcome.signature == tree_signature(direct.tree)
     assert outcome.cost_trace == direct.cost_trace
     assert outcome.iterations == direct.iterations
-
-
-def test_seeds_enable_the_multi_start_top_rung():
-    outcome = run_with_ladder(NET, TECH, config=CONFIG, seeds=[None, 1])
-    assert outcome.rung == RUNG_MULTI_START
-    assert not outcome.degraded
-    # A single seed is not a multi-start; the ladder skips the rung.
-    outcome = run_with_ladder(NET, TECH, config=CONFIG, seeds=[None])
-    assert outcome.rung == RUNG_SINGLE_START
 
 
 def test_exhausted_budget_degrades_to_the_star_floor():
@@ -98,10 +90,18 @@ def test_intermediate_cap_lands_on_the_coarse_rung():
     validate_tree(outcome.tree)
 
 
-def test_input_errors_propagate_instead_of_degrading():
-    with pytest.raises(MerlinInputError, match="workers"):
-        run_with_ladder(NET, TECH, config=CONFIG, seeds=[None, 1],
-                        workers=-1)
+def test_input_errors_propagate_instead_of_degrading(monkeypatch):
+    # The module, not the ``repro.core.merlin`` function re-exported
+    # under the same name by ``repro.core``.
+    merlin_module = importlib.import_module("repro.core.merlin")
+
+    def rejecting_merlin(*args, **kwargs):
+        raise MerlinInputError("net rejected by the engine", stage="net")
+
+    # The rungs import merlin at call time, so every DP rung sees this.
+    monkeypatch.setattr(merlin_module, "merlin", rejecting_merlin)
+    with pytest.raises(MerlinInputError, match="rejected by the engine"):
+        run_with_ladder(NET, TECH, config=CONFIG)
 
 
 def test_degradation_is_instrumented():
@@ -130,5 +130,5 @@ def test_coarsened_config_cuts_every_pseudo_polynomial_knob():
 
 
 def test_ladder_rung_names_are_stable_api():
-    assert LADDER_RUNGS == ("multi_start", "single_start", "coarse_curves",
+    assert LADDER_RUNGS == ("single_start", "coarse_curves",
                             "buffered_star")

@@ -76,6 +76,18 @@ class TestBufferedPath:
         assert ev.buffer_count == 1
         assert ev.buffer_area == 30.0
 
+    def test_partial_tree_rooted_at_a_buffer_presents_its_input_cap(self):
+        """A partial tree's arrivals start at its root's input, so a root
+        buffer presents its input capacitance, not the load it drives."""
+        net = Net("n", Point(0, 0),
+                  (Sink("a", Point(100, 0), load=10.0, required_time=1000.0),))
+        buffer_node = BufferNode(Point(0, 0), BUF)
+        buffer_node.add_child(SinkNode(Point(100, 0), 0))
+        ev = evaluate_tree(RoutingTree(net=net, root=buffer_node), TECH)
+        assert ev.driver_load == pytest.approx(5.0)
+        # buffer 20 + 1*(10 + 10) = 40; wire 0.1*(5 + 10) = 1.5.
+        assert ev.sink_arrivals[0] == pytest.approx(41.5)
+
 
 class TestBranching:
     def test_two_branch_steiner(self):

@@ -1,6 +1,6 @@
 """The HTTP front end: v1 endpoint semantics (envelopes, body parsing,
-status mapping, closure), admission control, shard failover, and cache
-affinity."""
+status mapping, closure), admission control, the one-service stats
+shape, and cache sharing between twins."""
 
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from repro.loadgen import (
     run_workload,
 )
 from repro.net import net_to_dict
-from repro.resilience.errors import MerlinInputError
 from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.routing.export import tree_from_dict, tree_signature
 from repro.routing.validate import validate_tree
-from repro.serve import AsyncShardedServer, build_shard_services
 from repro.serve.embedded import EmbeddedAsyncServer
 from repro.service import OptimizationService, ResultCache
 from repro.service.protocol import MAX_BODY_BYTES
@@ -40,22 +38,11 @@ SERVICE_KWARGS = dict(tech=TECH, config=CONFIG, workers=1)
 
 @pytest.fixture()
 def server():
-    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as embedded:
+    with EmbeddedAsyncServer(**SERVICE_KWARGS) as embedded:
         client = MerlinClient(embedded.base_url,
                               retry=RetryPolicy(max_attempts=1))
         assert client.wait_healthy(timeout_s=10)
         yield embedded
-
-
-@pytest.fixture()
-def single():
-    """One shard over a caller-owned service, for per-service stats."""
-    service = OptimizationService(cache=ResultCache(), **SERVICE_KWARGS)
-    try:
-        with EmbeddedAsyncServer(services=[service]) as embedded:
-            yield embedded
-    finally:
-        service.close()
 
 
 def _no_retry_client(server):
@@ -102,8 +89,8 @@ def test_v1_optimize_round_trip_and_envelope(server):
     assert tree_signature(tree) == body["result"]["tree_signature"]
 
 
-def test_second_post_is_a_cache_hit_with_identical_signature(single):
-    client = _no_retry_client(single)
+def test_second_post_is_a_cache_hit_with_identical_signature(server):
+    client = _no_retry_client(server)
     net = build_net(3, seed=12)
     cold = client.optimize(net)
     warm = client.optimize(net)
@@ -126,12 +113,12 @@ def test_bare_net_payload_is_accepted(server):
     assert response.status == 200 and response.result["ok"]
 
 
-def test_equivalent_requests_share_one_shard_cache(server):
+def test_equivalent_requests_share_one_cache_entry(server):
     client = _no_retry_client(server)
     net = build_net(4, seed=32)
     cold = client.optimize(net)
     assert cold["cached"] is False
-    # A renamed twin must route to the same shard and hit its LRU.
+    # A renamed twin must hit the entry its original filled.
     twin = net_to_dict(net)
     twin["name"] = "disguised"
     twin["sinks"] = [{**s, "name": f"zz{i}"}
@@ -152,10 +139,23 @@ def test_probes_bypass_admission_and_stats_reports_the_tier(server):
     _assert_envelope(response.body)
     stats = response.result
     assert stats["mode"] == "async-sharded"
-    assert stats["shard_count"] == 2
     assert stats["queue_limit"] > 0
-    assert len(stats["shards"]) == 2
-    assert all("cache" in shard for shard in stats["shards"])
+
+
+def test_stats_reports_the_one_service_as_a_one_entry_shards_list(server):
+    # perfbench's serve workload reads shard_count and shards[0]
+    # ["workers"] on every run, and sums each entry's counters, latency
+    # and cache under --trace 1.
+    client = _no_retry_client(server)
+    client.optimize(build_net(3, seed=36))
+    stats = client.stats()
+    assert stats["shard_count"] == 1
+    (entry,) = stats["shards"]
+    assert {"workers", "counters", "latency", "cache"} <= set(entry)
+    assert entry["workers"] == 1
+    assert entry["counters"]["service.requests"] == 1
+    assert entry["latency"]["service.request.latency_s"]["count"] == 1
+    assert entry["cache"]["misses"] == 1
 
 
 _GOOD_NET = net_to_dict(build_net(2, seed=18))
@@ -294,7 +294,7 @@ def _internal_error_runner(job):
 
 def _optimize_once(service, seed):
     try:
-        with EmbeddedAsyncServer(services=[service]) as embedded:
+        with EmbeddedAsyncServer(service=service) as embedded:
             return _no_retry_client(embedded).request(
                 "POST", "/v1/optimize",
                 {"net": net_to_dict(build_net(3, seed=seed))})
@@ -431,27 +431,8 @@ def test_client_retries_through_a_bounded_admission_fault(server):
     assert len(sleeps) == 1 and sleeps[0] >= 1.0
 
 
-def test_downed_shard_fails_over_to_the_next_on_the_ring(server):
-    client = _no_retry_client(server)
-    nets = [build_net(3, seed=40 + i) for i in range(4)]
-    plan = FaultPlan(specs=(
-        FaultSpec(site="serve.shard", kind="error", times=None,
-                  match="0"),))
-    with use_fault_plan(plan):
-        for net in nets:
-            result = client.optimize(net)
-            assert result["ok"]
-    stats = client.stats()
-    counters = stats["counters"]
-    # Shard 0 took nothing; every request landed on shard 1, and the
-    # requests originally routed to shard 0 were counted as failovers.
-    assert counters.get("serve.shard.0.requests", 0) == 0
-    assert counters["serve.shard.1.requests"] == len(nets)
-    assert counters.get("serve.shard.failovers", 0) >= 1
-
-
-#: The replay behind the failover proof: twins and repeats, so every
-#: equivalence class is answered by several requests.
+#: The replay behind the admission-fault proof: twins and repeats, so
+#: every equivalence class is answered by several requests.
 REPLAY = WorkloadSpec(requests=64, distinct_nets=4, min_sinks=2,
                       max_sinks=3, seed=11, twin_fraction=0.25,
                       repeat_fraction=0.4)
@@ -460,77 +441,31 @@ REPLAY = WorkloadSpec(requests=64, distinct_nets=4, min_sinks=2,
 @pytest.fixture(scope="module")
 def fault_free_replay():
     workload = generate_workload(REPLAY)
-    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as clean_server:
+    with EmbeddedAsyncServer(**SERVICE_KWARGS) as clean_server:
         clean = run_workload(clean_server.base_url, workload,
                              concurrency=4)
     assert clean.counts()["ok"] == len(workload)
     return workload, clean
 
 
-@pytest.mark.parametrize("times", [6, None], ids=["burst", "permanent"])
-def test_shard_crash_mid_replay_is_invisible(fault_free_replay, times):
+def test_admission_faults_mid_replay_are_invisible(fault_free_replay):
     workload, clean = fault_free_replay
     plan = FaultPlan(seed=5, specs=(
-        FaultSpec(site="serve.shard", kind="error", match="0",
-                  times=times),))
-    with EmbeddedAsyncServer(shards=2, **SERVICE_KWARGS) as server:
+        FaultSpec(site="serve.admission", kind="error", times=6),))
+    with EmbeddedAsyncServer(**SERVICE_KWARGS) as server:
         with use_fault_plan(plan):
             chaotic = run_workload(server.base_url, workload,
                                    concurrency=4)
-        failovers = server.server.stats()["counters"].get(
-            "serve.shard.failovers", 0)
+        rejected = server.server.stats()["counters"].get(
+            "serve.rejected", 0)
 
-    # The fault fired, yet no client saw it: every answer is ok and
-    # byte-identical to the fault-free replay (failover shards share the
-    # deterministic engine, so which shard answered cannot matter).
-    assert failovers >= 1
+    # The fault fired, yet no client saw it: each 429 carried a
+    # Retry-After the client honoured, and every answer is ok and
+    # byte-identical to the fault-free replay.
+    assert rejected >= 1
     counts = chaotic.counts()
     assert counts["ok"] == counts["requests"] == len(workload)
     assert check_equivalence(workload, chaotic) == []
     assert compare_signature_maps(clean.signature_map(),
                                   chaotic.signature_map()) == []
     assert set(clean.signature_map()) == set(chaotic.signature_map())
-
-
-def test_all_shards_down_is_a_structured_503(server):
-    client = _no_retry_client(server)
-    net = build_net(3, seed=44)
-    plan = FaultPlan(specs=(
-        FaultSpec(site="serve.shard", kind="error", times=None),))
-    with use_fault_plan(plan):
-        response = client.request("POST", "/v1/optimize",
-                                  {"net": net_to_dict(net)})
-    assert response.status == 503
-    assert response.error["code"] == "shard_unavailable"
-    assert response.error["category"] == "resource"
-
-
-def test_mixed_technology_shards_are_refused():
-    thin = TECH.with_buffers(TECH.buffers.subset(4))
-    services = [
-        OptimizationService(tech=TECH, config=CONFIG, workers=1,
-                            cache=ResultCache()),
-        OptimizationService(tech=thin, config=CONFIG, workers=1,
-                            cache=ResultCache()),
-    ]
-    try:
-        with pytest.raises(MerlinInputError, match="one technology"):
-            AsyncShardedServer(services)
-    finally:
-        for service in services:
-            service.close()
-
-
-def test_build_shard_services_gives_each_shard_its_own_cache():
-    services = build_shard_services(3, cache_capacity=8, **SERVICE_KWARGS)
-    try:
-        assert len(services) == 3
-        caches = [s.cache for s in services]
-        assert all(caches[i] is not caches[j]
-                   for i in range(len(caches))
-                   for j in range(i + 1, len(caches)))
-        fingerprints = {s.tech_fingerprint for s in services}
-        assert len(fingerprints) == 1
-    finally:
-        for service in services:
-            service.close()

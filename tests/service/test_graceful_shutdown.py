@@ -21,7 +21,7 @@ from repro.client import MerlinClient, RetryPolicy
 from repro.core.config import MerlinConfig
 from repro.net import net_to_dict
 from repro.serve.embedded import EmbeddedAsyncServer
-from repro.service import OptimizationService
+from repro.service import OptimizationService, ResultCache
 from repro.tech.technology import default_technology
 
 TECH = default_technology()
@@ -43,7 +43,7 @@ def _post_net(client, seed):
 
 def test_drain_refuses_then_flushes_and_stops(tmp_path):
     disk = str(tmp_path / "cache")
-    with EmbeddedAsyncServer(shards=2, disk_dir=disk,
+    with EmbeddedAsyncServer(cache=ResultCache(disk_dir=disk),
                              **SERVICE_KWARGS) as server:
         client = _client(server)
         assert _post_net(client, seed=83).status == 200
@@ -64,7 +64,7 @@ def test_drain_refuses_then_flushes_and_stops(tmp_path):
 
         report = server.drain(timeout_s=5.0)
         assert report["drained"] is True and report["in_flight"] == 0
-        assert report["flushed"] == 1  # re-persisted from the shard LRU
+        assert report["flushed"] == 1  # re-persisted from the LRU
 
         # The listener is gone: probes now fail at the transport layer.
         assert client.healthz() is False
@@ -83,7 +83,7 @@ def test_drain_waits_for_in_flight_requests():
         return original(net, **kwargs)
 
     service.optimize = gated
-    with EmbeddedAsyncServer(services=[service]) as server:
+    with EmbeddedAsyncServer(service=service) as server:
         client = _client(server)
         outcome = {}
 

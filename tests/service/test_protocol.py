@@ -38,7 +38,6 @@ from repro.service.protocol import (
     ("JobTimeoutError", "job_timeout"),
     ("AdmissionRejectedError", "admission_rejected"),
     ("UnknownPathError", "unknown_path"),
-    ("ShardUnavailableError", "shard_unavailable"),
 ])
 def test_error_code_is_snake_case_without_suffix(kind, code):
     assert error_code(kind) == code

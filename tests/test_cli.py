@@ -51,6 +51,15 @@ class TestCli:
         assert exc.value.code == 0
         assert "--backend" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_no_serving_subcommand_takes_a_shards_flag(self, command,
+                                                       capsys):
+        """The server runs one service; there are no shards to count."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--shards" not in capsys.readouterr().out
+
 
 class TestResolveCliWorkers:
     def test_none_falls_back_to_config(self):
@@ -76,17 +85,38 @@ class TestResolveCliWorkers:
         assert _resolve_cli_workers(5, MerlinConfig().with_(workers=2)) == 5
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("argv", [
+        ["net", "--sinks", "3", "--multi-start", "2"],
+        ["serve", "--port", "0", "--preset", "test"],
+        ["loadgen", "--requests", "2", "--nets", "1", "--preset", "test"],
+        ["closure", "--circuit", "10:3:4:3", "--preset", "test"],
+    ], ids=["net", "serve", "loadgen", "closure"])
+    def test_negative_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: must be an integer >= 0" in err
+        assert "Traceback" not in err
+
+    def test_loadgen_zero_means_one_per_cpu(self, capsys):
+        assert main(["loadgen", "--workers", "0", "--requests", "2",
+                     "--nets", "1", "--min-sinks", "2", "--max-sinks", "2",
+                     "--preset", "test"]) == 0
+        assert "FAIL" not in capsys.readouterr().err
+
+
 class TestServeCommand:
     @pytest.mark.parametrize("extra", [[], ["--async"]])
     def test_serve_wires_the_sharded_tier(self, monkeypatch, tmp_path,
                                           extra):
         import repro.serve as serve_mod
-        from repro.serve import build_shard_services
 
         captured = {}
 
-        def fake_serve_async(host, port, **kwargs):
-            captured.update(host=host, port=port, **kwargs)
+        def fake_serve_async(host, port, service, **kwargs):
+            captured.update(host=host, port=port, service=service, **kwargs)
 
         monkeypatch.setattr(serve_mod, "serve_async", fake_serve_async)
         assert main(["serve", "--port", "9999", "--workers", "3",
@@ -95,21 +125,23 @@ class TestServeCommand:
                      "--cache-dir", str(tmp_path / "c")] + extra) == 0
         assert captured["host"] == "127.0.0.1"
         assert captured["port"] == 9999
-        assert captured["shards"] == 2
         assert captured["queue_limit"] == 64
-        services = build_shard_services(
-            captured["shards"], cache_capacity=captured["cache_capacity"],
-            disk_dir=captured["disk_dir"],
-            service_factory=captured["service_factory"])
-        try:
-            for svc in services:
-                assert svc.workers == 3
-                assert svc.job_timeout_s == 7.5
-                assert svc.cache.stats()["capacity"] == 11
-                assert svc.cache.stats()["disk_dir"] == str(tmp_path / "c")
-        finally:
-            for svc in services:
-                svc.close()
+        service = captured["service"]
+        assert service.workers == 3
+        assert service.job_timeout_s == 7.5
+        assert service.cache.stats()["capacity"] == 11
+        assert service.cache.stats()["disk_dir"] == str(tmp_path / "c")
+
+    def test_serve_caches_512_entries_by_default(self, monkeypatch):
+        import repro.serve as serve_mod
+
+        captured = {}
+        monkeypatch.setattr(
+            serve_mod, "serve_async",
+            lambda host, port, service, **kwargs: captured.update(
+                service=service))
+        assert main(["serve", "--port", "0", "--preset", "test"]) == 0
+        assert captured["service"].cache.stats()["capacity"] == 512
 
     def test_serve_rejects_bad_preset(self):
         with pytest.raises(SystemExit):
