@@ -53,6 +53,7 @@ from repro.core.objective import Objective
 from repro.curves.curve import BACKENDS, CurveConfig
 from repro.experiments.nets import make_experiment_net
 from repro.instrument import Recorder
+from repro.instrument import names as metric
 from repro.routing.export import tree_signature
 from repro.tech.technology import default_technology
 
@@ -65,6 +66,11 @@ MIN_TRACKED_SECONDS = 0.05
 #: Allowed slowdown of a tracked timing vs the (calibration-scaled)
 #: baseline before the gate fails.
 REGRESSION_THRESHOLD = 0.20
+
+#: The curve-kernel spans every engine case reports as its span table
+#: (seconds per kernel operation, and their share of the wall).
+KERNEL_SPANS = (metric.SPAN_KERNEL_JOIN, metric.SPAN_KERNEL_BUFFER,
+                metric.SPAN_KERNEL_RELOCATE, metric.SPAN_KERNEL_PRUNE)
 
 #: The headline single-engine config: paper-faithful fine quantization
 #: (pseudo-polynomial buckets small relative to sink loads) — large
@@ -81,6 +87,13 @@ def _engine_cases(quick: bool) -> List[Dict[str, Any]]:
             "sinks": 6,
             "seed": 11,
             "config": MerlinConfig.test_preset(),
+        }, {
+            # The served preset at the net size that sets the served
+            # tail: a cold solve bound by the curve kernels.
+            "name": "fast6",
+            "sinks": 6,
+            "seed": 1,
+            "config": MerlinConfig.fast_preset(),
         }]
     return [{
         # The pinned 15-sink net of the PR-2 acceptance criterion.
@@ -159,16 +172,23 @@ def run_engine_case(case: Dict[str, Any],
         start = time.perf_counter()
         result = merlin(net, tech, config=config, objective=objective)
         wall = time.perf_counter() - start
+        instrument = _trimmed_report(recorder)
         runs[backend] = {
             "wall_s": wall,
             "resolved_backend": config.curve.resolved_backend(),
             "cost": objective.cost(result.best.solution),
             "signature": tree_signature(result.tree),
             "iterations": result.iterations,
-            "instrument": _trimmed_report(recorder),
+            "kernel_spans": {
+                span: _span_total(instrument["spans"], span)
+                for span in KERNEL_SPANS},
+            "instrument": instrument,
         }
         print(f"  {case['name']:12s} backend={backend:7s} "
               f"wall={wall:8.2f}s cost={runs[backend]['cost']:.3f}")
+        for span, seconds in runs[backend]["kernel_spans"].items():
+            print(f"  {'':12s}   {span:24s} {seconds:8.3f}s "
+                  f"{100.0 * seconds / wall:5.1f}%")
     signatures = {r["signature"] for r in runs.values()}
     out: Dict[str, Any] = {
         "name": case["name"],

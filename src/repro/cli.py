@@ -79,7 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "
                             "tree, instead of running the flow comparison")
-    p_net.add_argument("--workers", type=_worker_count, default=None,
+    p_net.add_argument("--workers", type=_at_least(0), default=None,
                        help="process fan-out override for --multi-start "
                             "(default: the config's workers, i.e. 1; "
                             "0 = one per CPU)")
@@ -107,10 +107,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--async", action="store_true",
                        help="accepted for compatibility; the asyncio "
                             "front end is the only one")
-    p_srv.add_argument("--queue-limit", type=int, default=64, metavar="N",
+    p_srv.add_argument("--queue-limit", type=_at_least(1), default=64,
+                       metavar="N",
                        help="max in-flight requests before answering "
                             "429 + Retry-After (default 64)")
-    p_srv.add_argument("--workers", type=_worker_count, default=None,
+    p_srv.add_argument("--workers", type=_at_least(0), default=None,
                        help="warm-pool size of the service (default: the "
                             "config's workers; 0 = one per CPU; 1 = "
                             "serial)")
@@ -128,10 +129,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--deadline", type=float, default=None, metavar="S",
                        help="per-job wall-clock deadline in seconds, "
                             "same degradation semantics as --budget-ops")
-    p_srv.add_argument("--pool-retries", type=int, default=2, metavar="N",
+    p_srv.add_argument("--pool-retries", type=_at_least(0), default=2,
+                       metavar="N",
                        help="rebuild a crashed worker pool up to N times "
                             "before finishing jobs serially (default 2)")
-    p_srv.add_argument("--cache-capacity", type=int, default=512,
+    p_srv.add_argument("--cache-capacity", type=_at_least(1), default=512,
                        help="in-memory LRU entries (default 512)")
     p_srv.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persist results as JSON under DIR (off by "
@@ -177,8 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_lg.add_argument("--no-check", action="store_true",
                       help="skip the per-replay equivalence-class "
                            "signature gate")
-    p_lg.add_argument("--queue-limit", type=int, default=64)
-    p_lg.add_argument("--workers", type=_worker_count, default=1,
+    p_lg.add_argument("--queue-limit", type=_at_least(1), default=64)
+    p_lg.add_argument("--workers", type=_at_least(0), default=1,
                       help="warm-pool size of the in-process service "
                            "(default 1; 0 = one per CPU)")
     p_lg.add_argument("--preset", choices=["fast", "test", "paper"],
@@ -218,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="fast",
                        help="MerlinConfig preset for the per-net "
                             "optimizations (default fast)")
-    p_cls.add_argument("--workers", type=_worker_count, default=None,
+    p_cls.add_argument("--workers", type=_at_least(0), default=None,
                        help="service warm-pool size (default: the "
                             "config's workers; 0 = one per CPU)")
     p_cls.add_argument("--json", action="store_true",
@@ -369,16 +371,20 @@ def _run_multi_start(args, net, tech, config) -> int:
     return 0
 
 
-def _worker_count(text: str) -> int:
-    """The type of every ``--workers``: an integer >= 0 (0 = one per
-    CPU); anything else is a usage error, exit 2."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 0 (0 = one per CPU), got {text!r}")
+def _at_least(minimum: int):
+    """An argparse type for a count flag: an integer >= ``minimum``;
+    anything else is a usage error, exit 2 (the constructors' own range
+    checks would end in a traceback)."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
     return count
 
 

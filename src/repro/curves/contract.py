@@ -23,11 +23,13 @@ frozen blocks:
 Folding a block into a live curve and pruning it are the live curve's
 own ``extend`` and ``prune``.  :func:`get_kernel` maps each
 ``CurveConfig.backend`` value (:data:`~repro.curves.curve.BACKENDS`) to
-its kernel.  Both kernels are pure Python — ``"python"``
-(:mod:`repro.curves.backend_python`, scalar loops over
-:class:`~repro.curves.curve.SolutionCurve`, the reference oracle) and
-``"numpy"`` (:class:`repro.curves.kernels.DeferredKernel`, deferred
-live curves, the served default; the name is historical) — and are
+its kernel: ``"python"`` (:mod:`repro.curves.backend_python`, pure
+Python scalar loops over :class:`~repro.curves.curve.SolutionCurve`,
+the reference oracle) and ``"numpy"``
+(:class:`repro.curves.kernels.DeferredKernel`, deferred live curves
+whose four hot loops are compiled C, the served default; the name is
+historical).  Where the C loops cannot be built, ``"numpy"`` runs the
+oracle (:func:`~repro.curves.curve.resolve_backend`).  The kernels are
 bit-identical by contract: the golden suites and ``bench check_suite``
 pin equal tree signatures.  Engine layers (``core``, ``routing``,
 ``service``, ``pipeline``) never see representation details (the
@@ -40,10 +42,10 @@ library buffers whose quantized input capacitance lands in the same
 load bucket.  When such a predecessor's offer (for the same source)
 achieved the same area bucket with a required time at least as high,
 offer ``j`` maps to the same curve cell with a value the bucket map
-would reject — so it is skipped before any key is built.  The skip
-condition compares *computed* candidate attributes, never re-derived
-real-arithmetic bounds, so it is exact under floating point and cannot
-perturb results.
+would reject — so the python kernel skips it before any key is built.
+The skip condition compares *computed* candidate attributes, never
+re-derived real-arithmetic bounds, so it is exact under floating point
+and cannot perturb results; the compiled kernel makes every offer.
 """
 
 from __future__ import annotations
@@ -52,7 +54,12 @@ import functools
 import importlib.util
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.curves.curve import BACKENDS, CurveConfig, SolutionCurve
+from repro.curves.curve import (
+    BACKENDS,
+    CurveConfig,
+    SolutionCurve,
+    resolve_backend,
+)
 from repro.geometry.point import Point
 from repro.tech.buffer import Buffer
 
@@ -186,4 +193,4 @@ def get_kernel(name: str) -> CurveKernel:
     if name not in BACKENDS:
         raise ValueError(
             f"unknown curve kernel {name!r}; expected one of {BACKENDS}")
-    return _kernels()[name]
+    return _kernels()[resolve_backend(name)]

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.curves import native
 from repro.curves.solution import Solution
 from repro.geometry.point import Point
 from repro.instrument import names as metric
@@ -14,6 +15,16 @@ from repro.instrument.recorder import active_recorder
 #: The ``CurveConfig.backend`` values: one per curve kernel
 #: (:func:`repro.curves.contract.get_kernel`).
 BACKENDS = ("python", "numpy")
+
+
+def resolve_backend(backend: str) -> str:
+    """The kernel that runs for the ``CurveConfig.backend`` value
+    ``backend``: ``"numpy"`` needs the compiled loops, and runs the
+    ``"python"`` oracle on a host where they could not be built
+    (:mod:`repro.curves.native` warns once when that happens)."""
+    if backend == "numpy" and native.deferred is None:
+        return "python"
+    return backend
 
 
 @dataclass(frozen=True)
@@ -33,10 +44,12 @@ class CurveConfig:
 
     ``backend`` selects the curve-kernel implementation: ``"numpy"`` (the
     default: deferred live curves whose candidates materialize only if
-    they survive; the name is historical and NumPy is not needed) or
-    ``"python"`` (plain ``SolutionCurve`` loops, the reference the
-    deferred kernels must match).  Results are bit-identical either way
-    (see :mod:`repro.curves.kernels`).
+    they survive, with the hot loops compiled from C on first import;
+    the name is historical and NumPy is not needed) or ``"python"``
+    (plain ``SolutionCurve`` loops in pure Python, the reference the
+    deferred kernel must match).  Results are bit-identical either way
+    (see :mod:`repro.curves.kernels`); :meth:`resolved_backend` names
+    the one that actually runs.
     """
 
     load_step: float = 1.0
@@ -55,9 +68,9 @@ class CurveConfig:
                 f"expected one of {BACKENDS}")
 
     def resolved_backend(self) -> str:
-        """The backend that will actually run: every listed backend
-        runs as named (neither needs a third-party package)."""
-        return self.backend
+        """The backend that will actually run: ``"python"`` for
+        ``"numpy"`` where the compiled loops could not be built."""
+        return resolve_backend(self.backend)
 
     def bucket(self, solution: Solution) -> Tuple[int, int]:
         """Return the (load, area) quantization bucket of ``solution``.

@@ -13,8 +13,9 @@ anchored at its alphabetically first member, listing the full loop.
 
 ``LAY-KERNEL`` seals the curve-kernel boundary: only the ``curves``
 package itself may import the block-representation modules —
-:mod:`repro.curves.kernels` (the deferred kernel) and
-:mod:`repro.curves.backend_python`.  Engine layers (``core``,
+:mod:`repro.curves.kernels` (the deferred kernel), its compiled loops
+(``repro.curves._deferred``) and their loader
+(:mod:`repro.curves.native`), and :mod:`repro.curves.backend_python`.  Engine layers (``core``,
 ``routing``, ``service``, ``pipeline``) must go through
 :mod:`repro.curves.contract` (``get_kernel``, ``KernelLibrary``, …).
 Unlike ``LAY-UPWARD``, deferred imports are *not* exempt — reaching
@@ -71,6 +72,8 @@ class UpwardImportRule(ProjectRule):
 #: these from outside ``repro.curves`` bypasses the kernel contract.
 KERNEL_MODULES = frozenset({
     "repro.curves.kernels",
+    "repro.curves._deferred",
+    "repro.curves.native",
     "repro.curves.backend_python",
 })
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.curves import native
 from repro.staticcheck import run_check
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -91,3 +92,22 @@ def test_rules_flag_narrows_the_run():
     path = os.path.join(FIXTURES, "det_random.py")
     code = cli_main(["check", "--rules", "NUM-FLOAT-EQ", path])
     assert code == 0  # the only violation is DET-RANDOM, not selected
+
+
+@pytest.mark.parametrize("statement", [
+    "from repro.curves.native import deferred",
+    "from repro.curves import native",
+    "import repro.curves._deferred",
+])
+def test_engine_reaching_the_compiled_kernel_trips_lay_kernel(
+        tmp_path, statement):
+    """The compiled loops and their loader sit behind the kernel
+    contract like the rest of the deferred kernel."""
+    path = tmp_path / "engine_native.py"
+    path.write_text("# staticcheck: module=repro.core.fixture_native\n"
+                    f"{statement}\n")
+    # The loader is checked too, so ``from repro.curves import native``
+    # resolves to it as a submodule.
+    result = run_check([str(path), native.__file__])
+    assert [(f.rule_id, f.path) for f in result.findings] == [
+        ("LAY-KERNEL", str(path))]

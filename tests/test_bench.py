@@ -15,6 +15,7 @@ import pytest
 
 from repro import bench
 from repro.core.config import MerlinConfig
+from repro.curves.curve import resolve_backend
 
 TINY_CASE = {
     "name": "tiny4",
@@ -52,8 +53,22 @@ def test_engine_case_schema_and_equivalence():
         assert run["wall_s"] > 0
         assert run["signature"]
         assert "counters" in run["instrument"]
-    assert result["runs"]["numpy"]["resolved_backend"] == "numpy"
+    assert result["runs"]["numpy"]["resolved_backend"] == \
+        resolve_backend("numpy")
     assert result["numpy_speedup"] > 0
+    for backend in BACKENDS:
+        spans = result["runs"][backend]["kernel_spans"]
+        assert list(spans) == list(bench.KERNEL_SPANS)
+        assert all(seconds > 0 for seconds in spans.values()), spans
+
+
+def test_quick_suite_times_a_fast_preset_six_sink_net():
+    """The regime that sets the served tail: the served preset at six
+    sinks, beside the tiny test-preset case."""
+    cases = {case["name"]: case for case in bench._engine_cases(True)}
+    assert cases["fast6"]["sinks"] == 6
+    assert cases["fast6"]["config"] == MerlinConfig.fast_preset()
+    assert cases["quick6"]["config"] == MerlinConfig.test_preset()
 
 
 def test_parallel_case_worker_invariance():

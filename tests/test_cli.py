@@ -100,6 +100,29 @@ class TestWorkersFlag:
         assert "argument --workers: must be an integer >= 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,flag,minimum", [
+        (["serve", "--queue-limit", "0"], "--queue-limit", 1),
+        (["serve", "--cache-capacity", "0"], "--cache-capacity", 1),
+        (["serve", "--pool-retries", "-1"], "--pool-retries", 0),
+        (["loadgen", "--queue-limit", "0"], "--queue-limit", 1),
+        (["serve", "--cache-capacity", "many"], "--cache-capacity", 1),
+    ], ids=["serve-queue-limit", "serve-cache-capacity",
+            "serve-pool-retries", "loadgen-queue-limit", "not-a-number"])
+    def test_out_of_range_count_is_a_usage_error(self, argv, flag, minimum,
+                                                 capsys):
+        """The constructors' range checks, enforced at parse time:
+        exit 2 with a usage line, never a MerlinInputError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--port", "0", "--preset", "test"]
+                 if argv[0] == "serve" else
+                 argv + ["--requests", "2", "--nets", "1",
+                         "--preset", "test"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be an integer >= {minimum}" in err
+        assert "Traceback" not in err
+
     def test_loadgen_zero_means_one_per_cpu(self, capsys):
         assert main(["loadgen", "--workers", "0", "--requests", "2",
                      "--nets", "1", "--min-sinks", "2", "--max-sinks", "2",
