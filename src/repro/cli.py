@@ -34,6 +34,7 @@ backend="python"))``, and ``bench --backends`` runs both.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -68,14 +69,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_t2.add_argument("--seed", type=int, default=1999)
 
     p_net = sub.add_parser("net", help="optimize one synthetic net verbosely")
-    p_net.add_argument("--sinks", type=int, default=7)
+    p_net.add_argument("--sinks", type=_at_least(1), default=7)
     p_net.add_argument("--seed", type=int, default=1)
     p_net.add_argument("--net-file", metavar="FILE", default=None,
                        help="optimize the net in FILE (net interchange "
                             "JSON, see net_to_dict) instead of a synthetic "
                             "one; malformed input exits 2 with a one-line "
                             "error naming the offending field")
-    p_net.add_argument("--multi-start", type=int, default=0, metavar="K",
+    p_net.add_argument("--multi-start", type=_at_least(0), default=0,
+                       metavar="K",
                        help="restart MERLIN from K initial orders (TSP "
                             "plus K-1 seeded shuffles) and keep the best "
                             "tree, instead of running the flow comparison")
@@ -95,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_ab = sub.add_parser("ablation", help="prose-claim ablations (E3-E8)")
     p_ab.add_argument("which", choices=["candidates", "orders", "alpha",
                                         "bubbling", "convergence", "curves"])
-    p_ab.add_argument("--sinks", type=int, default=6)
+    p_ab.add_argument("--sinks", type=_at_least(1), default=6)
     p_ab.add_argument("--seed", type=int, default=1)
 
     p_srv = sub.add_parser(
@@ -103,7 +105,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "(v1 API: POST /v1/optimize, POST /v1/closure, "
                       "GET /v1/stats, GET /v1/healthz)")
     p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8731)
+    p_srv.add_argument("--port", type=_at_least(0, maximum=65535),
+                       default=8731)
     p_srv.add_argument("--async", action="store_true",
                        help="accepted for compatibility; the asyncio "
                             "front end is the only one")
@@ -119,14 +122,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="fast",
                        help="MerlinConfig preset the service optimizes "
                             "with (part of the cache key)")
-    p_srv.add_argument("--job-timeout", type=float, default=None,
+    p_srv.add_argument("--job-timeout", type=_seconds(positive=True),
+                       default=None,
                        metavar="S", help="per-request engine timeout "
                                          "(seconds; default none)")
-    p_srv.add_argument("--budget-ops", type=int, default=None, metavar="N",
+    p_srv.add_argument("--budget-ops", type=_at_least(0), default=None,
+                       metavar="N",
                        help="deterministic per-job compute budget; on "
                             "exhaustion the job degrades down the ladder "
                             "instead of failing (default: unlimited)")
-    p_srv.add_argument("--deadline", type=float, default=None, metavar="S",
+    p_srv.add_argument("--deadline", type=_seconds(), default=None,
+                       metavar="S",
                        help="per-job wall-clock deadline in seconds, "
                             "same degradation semantics as --budget-ops")
     p_srv.add_argument("--pool-retries", type=_at_least(0), default=2,
@@ -138,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persist results as JSON under DIR (off by "
                             "default)")
-    p_srv.add_argument("--drain-timeout", type=float, default=30.0,
+    p_srv.add_argument("--drain-timeout", type=_seconds(), default=30.0,
                        metavar="S",
                        help="max seconds to wait for in-flight requests "
                             "when SIGTERM starts a graceful drain "
@@ -166,7 +172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="also translate twins (cache-realistic but "
                            "not bit-stable across replays; see "
                            "repro.loadgen.workload)")
-    p_lg.add_argument("--concurrency", type=int, default=4)
+    p_lg.add_argument("--concurrency", type=_at_least(1), default=4)
     p_lg.add_argument("--record", metavar="FILE", default=None,
                       help="save the generated workload JSON to FILE")
     p_lg.add_argument("--replay", metavar="FILE", default=None,
@@ -371,21 +377,45 @@ def _run_multi_start(args, net, tech, config) -> int:
     return 0
 
 
-def _at_least(minimum: int):
-    """An argparse type for a count flag: an integer >= ``minimum``;
-    anything else is a usage error, exit 2 (the constructors' own range
-    checks would end in a traceback)."""
+def _at_least(minimum: int, maximum: Optional[int] = None):
+    """An argparse type for a count flag: an integer >= ``minimum``
+    (and <= ``maximum`` when given); anything else is a usage error,
+    exit 2 (the constructors' own range checks would end in a
+    traceback)."""
+    bound = (f">= {minimum}" if maximum is None
+             else f"from {minimum} to {maximum}")
+
     def count(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
+        if value < minimum or (maximum is not None and value > maximum):
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {minimum}, got {text!r}")
+                f"must be an integer {bound}, got {text!r}")
         return value
 
     return count
+
+
+def _seconds(positive: bool = False):
+    """The float counterpart of :func:`_at_least` for a duration flag:
+    a finite number of seconds >= 0 (> 0 when ``positive``)."""
+    bound = "> 0" if positive else ">= 0"
+
+    def seconds(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value)
+                and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number of seconds {bound}, "
+                f"got {text!r}")
+        return value
+
+    return seconds
 
 
 def _resolve_cli_workers(cli_workers, config) -> int:

@@ -277,6 +277,15 @@ class OptimizationService:
             raise MerlinInputError("workers must be >= 1")
         if pool_retries < 0:
             raise MerlinInputError("pool_retries must be >= 0")
+        # Checked here, not only by the ComputeBudget each job builds:
+        # a bad setting would otherwise fail every request as the
+        # client's input error.
+        if budget_ops is not None and budget_ops < 0:
+            raise MerlinInputError("budget_ops must be >= 0")
+        if deadline_s is not None and deadline_s < 0:
+            raise MerlinInputError("deadline_s must be >= 0")
+        if job_timeout_s is not None and job_timeout_s <= 0:
+            raise MerlinInputError("job_timeout_s must be > 0")
         self.job_timeout_s = job_timeout_s
         self.budget_ops = budget_ops
         self.deadline_s = deadline_s

@@ -17,14 +17,11 @@ warm process pool — the coding patterns those invariants depend on:
   the curve/engine packages; use the quantized comparators in
   :mod:`repro.units`;
 * **layering** — ``core``/``curves``/``geometry``/``tech`` must never
-  import ``service``/``cli``/``api``/``bench``, and the module-level
+  import ``service``/``cli``/``api``/``bench``, the engine must reach
+  the curve kernels only through their contract, and the module-level
   import graph across ``repro.*`` must stay acyclic;
-* **async safety** — no blocking calls inside the serving tier's
-  coroutines, no discarded coroutine objects, no unlocked state shared
-  between the event loop and handler threads;
-* **registry contracts** — fault-site, instrument-metric, and
-  kernel/ordering string keys must match a real registration on the
-  other side of the string.
+* **registry contracts** — fault-site and instrument-metric string keys
+  must match a real definition on the other side of the string.
 
 The engine is stdlib-``ast`` only (no new dependencies) and analyzes
 in two phases: each file is parsed and walked once into per-file facts
@@ -32,13 +29,14 @@ and per-module findings, then whole-program passes run over the merged
 fact base.  It runs as
 ``merlin-repro check [--format json] [--rules ...] [paths]``.  Inline
 suppressions use ``# staticcheck: ignore[RULE-ID]`` comments, and
-``SUP-UNUSED`` flags the ones that suppress nothing; project defaults
-live in the ``[tool.staticcheck]`` block of ``pyproject.toml``.
+``SUP-UNUSED`` flags the ones that suppress nothing.  There is no
+configuration: every rule runs unless ``--rules`` narrows the run, and
+a directory walk skips directories named ``fixtures`` (the analyzer's
+bad examples), which are checked only when named explicitly.
 """
 
 from __future__ import annotations
 
-from repro.staticcheck.config import CheckConfig, load_config
 from repro.staticcheck.engine import (
     CheckResult,
     Finding,
@@ -46,7 +44,6 @@ from repro.staticcheck.engine import (
     ProjectRule,
     Rule,
     all_rules,
-    collect_modules,
     parse_module,
     register,
     render_json,
@@ -59,7 +56,6 @@ from repro.staticcheck.facts import FileFacts, ProjectFacts
 import repro.staticcheck.rules  # noqa: F401  (import for side effect)
 
 __all__ = [
-    "CheckConfig",
     "CheckResult",
     "FileFacts",
     "Finding",
@@ -68,8 +64,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "all_rules",
-    "collect_modules",
-    "load_config",
     "main",
     "parse_module",
     "register",

@@ -2,9 +2,9 @@
 
 Kept out of :mod:`repro.cli` so the analyzer stays importable and
 testable on its own: ``merlin-repro check ARGS`` hands ``ARGS`` to
-:func:`run_cli`, so no other subcommand imports the analyzer.  The
-CLI reads ``[tool.staticcheck]`` from the nearest ``pyproject.toml``
-and writes nothing but the report (stdout, plus ``--output FILE``).
+:func:`run_cli`, so no other subcommand imports the analyzer.  It runs
+every rule (or the ``--rules`` selection), reads no configuration, and
+writes nothing but the report (stdout, plus ``--output FILE``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.staticcheck.config import CheckConfig, load_config
 from repro.staticcheck.engine import (
     all_rules,
     get_rule,
@@ -43,33 +42,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the rendered report to FILE")
     parser.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
-        help="comma-separated rule ids to run (default: all enabled "
-             "by [tool.staticcheck] in pyproject.toml)")
+        help="comma-separated rule ids to run (default: all)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue (sorted by id) and exit")
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="ignore [tool.staticcheck] (run every rule, no excludes)")
     return parser
 
 
-def _select_rules(args, config: CheckConfig):
-    if args.rules:
-        wanted = [rid.strip() for rid in args.rules.split(",")
-                  if rid.strip()]
-        try:
-            return [get_rule(rid) for rid in wanted], None
-        except KeyError as exc:
-            known = ", ".join(sorted(r.id for r in all_rules()))
-            return None, (f"unknown rule id {exc.args[0]!r} "
-                          f"(known: {known})")
-    rules = all_rules()
-    if config.enable:
-        rules = [r for r in rules if r.id in config.enable]
-    if config.disable:
-        rules = [r for r in rules if r.id not in config.disable]
-    return rules, None
+def _select_rules(args):
+    if not args.rules:
+        return all_rules(), None
+    wanted = [rid.strip() for rid in args.rules.split(",") if rid.strip()]
+    try:
+        return [get_rule(rid) for rid in wanted], None
+    except KeyError as exc:
+        known = ", ".join(sorted(r.id for r in all_rules()))
+        return None, f"unknown rule id {exc.args[0]!r} (known: {known})"
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:
@@ -79,20 +67,18 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             print(f"{rule.id:17s} {rule.title}")
         return 0
     paths: List[str] = list(args.paths) or ["src/repro"]
-    # Usage errors are checked before any analysis or config work: a
-    # typo'd path must not silently analyze nothing.
+    # Usage errors are checked before any analysis: a typo'd path must
+    # not silently analyze nothing.
     for path in paths:
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
-    config = CheckConfig() if args.no_config else load_config(paths[0])
-    rules, error = _select_rules(args, config)
+    rules, error = _select_rules(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    result = run_check(paths, rules=rules, exclude=config.exclude,
-                       config_root=config.root)
+    result = run_check(paths, rules=rules)
     report = (render_json(result) if args.format == "json"
               else render_text(result))
     if args.output:

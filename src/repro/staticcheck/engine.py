@@ -3,8 +3,8 @@
 Rules come in two shapes.  A per-module :class:`Rule` walks one file's
 AST (``check_module``).  A whole-program :class:`ProjectRule` consumes
 the merged :class:`~repro.staticcheck.facts.ProjectFacts` base
-(``check_project``) — the import-graph rules and the new registry /
-async contract passes, which need every file's facts at once.
+(``check_project``) — the import-graph and registry-contract rules,
+which need every file's facts at once.
 
 The driver runs in two phases:
 
@@ -25,7 +25,6 @@ Exit-code semantics (used by the CLI and CI):
 from __future__ import annotations
 
 import ast
-import fnmatch
 import json
 import os
 import re
@@ -57,6 +56,13 @@ _SUPPRESS_RE = re.compile(
 #: text quoted deeper in a file — e.g. in tests — cannot hijack it).
 _MODULE_RE = re.compile(r"#\s*staticcheck:\s*module=([A-Za-z0-9_.]+)")
 _MODULE_OVERRIDE_MAX_LINE = 5
+
+#: Directory names a directory walk never enters: bytecode caches, and
+#: the analyzer's own bad-example fixtures, which trip rules on purpose.
+#: Dot-directories are skipped too.  A path named explicitly is always
+#: checked, which is how the tests and CI point the analyzer at one
+#: fixture file or fixture directory.
+_SKIPPED_DIRS = frozenset({"__pycache__", "fixtures"})
 
 
 @dataclass(frozen=True, order=True)
@@ -231,6 +237,8 @@ def _iter_comments(source: str) -> Iterable[Tuple[int, str]]:
 def _scan_suppressions(source: str
                        ) -> Dict[int, Optional[FrozenSet[str]]]:
     out: Dict[int, Optional[FrozenSet[str]]] = {}
+    if "staticcheck" not in source:
+        return out  # no comment can be a directive; skip tokenizing
     for lineno, text in _iter_comments(source):
         if "staticcheck" not in text:
             continue
@@ -251,8 +259,7 @@ def _scan_suppressions(source: str
     return out
 
 
-def parse_module(path: str, source: Optional[str] = None,
-                 display_path: Optional[str] = None) -> ModuleInfo:
+def parse_module(path: str, source: Optional[str] = None) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo` (raises on syntax error)."""
     if source is None:
         with open(path, "r", encoding="utf-8") as handle:
@@ -264,7 +271,7 @@ def parse_module(path: str, source: Optional[str] = None,
     if override:
         module = override.group(1)
     return ModuleInfo(
-        path=display_path or path,
+        path=path,
         source=source,
         tree=tree,
         nodes=list(ast.walk(tree)),
@@ -277,77 +284,24 @@ def parse_module(path: str, source: Optional[str] = None,
 def _iter_python_files(root: str) -> Iterable[str]:
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames
-                             if d != "__pycache__" and not d.startswith("."))
+                             if d not in _SKIPPED_DIRS
+                             and not d.startswith("."))
         for name in sorted(filenames):
             if name.endswith(".py"):
                 yield os.path.join(dirpath, name)
 
 
-def _excluded(path: str, patterns: Sequence[str],
-              config_root: Optional[str]) -> bool:
-    """True when ``path`` matches an exclude glob.
-
-    Patterns are matched against the path relative to the directory
-    containing the loaded ``pyproject.toml`` (posix separators), so
-    ``tests/staticcheck/fixtures/*`` works from any working directory.
-    """
-    if not patterns:
-        return False
-    candidates = {os.path.normpath(path).replace(os.sep, "/")}
-    if config_root:
-        rel = os.path.relpath(os.path.abspath(path), config_root)
-        if not rel.startswith(".."):
-            candidates.add(rel.replace(os.sep, "/"))
-    for pattern in patterns:
-        for candidate in candidates:
-            if fnmatch.fnmatch(candidate, pattern):
-                return True
-    return False
-
-
-def expand_paths(paths: Sequence[str],
-                 exclude: Sequence[str] = (),
-                 config_root: Optional[str] = None) -> List[str]:
-    """Expand directories to their python files (exclude globs apply
-    during the walk); a path given *explicitly as a file* is always
-    included, even when an exclude pattern matches it — mirroring the
-    convention of mainstream linters, and what lets the test suite
-    point the CLI straight at a quarantined fixture."""
+def expand_paths(paths: Sequence[str]) -> List[str]:
+    """Expand directories to their python files, skipping
+    ``_SKIPPED_DIRS`` and dot-directories below them; a path named
+    explicitly is always included."""
     out: List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            for file_path in _iter_python_files(path):
-                if not _excluded(file_path, exclude, config_root):
-                    out.append(file_path)
+            out.extend(_iter_python_files(path))
         else:
             out.append(path)
     return out
-
-
-def collect_modules(paths: Sequence[str],
-                    exclude: Sequence[str] = (),
-                    config_root: Optional[str] = None,
-                    ) -> Tuple[List[ModuleInfo], List[Finding]]:
-    """Expand ``paths`` to parsed modules.
-
-    Unreadable or syntactically invalid files become ``PARSE-ERROR``
-    findings instead of aborting the run.
-    """
-    modules: List[ModuleInfo] = []
-    errors: List[Finding] = []
-    for path in expand_paths(paths, exclude, config_root):
-        try:
-            modules.append(parse_module(path))
-        except SyntaxError as exc:
-            errors.append(Finding(
-                path=path, line=exc.lineno or 1, col=exc.offset or 0,
-                rule_id="PARSE-ERROR",
-                message=f"could not parse: {exc.msg}"))
-        except OSError as exc:
-            errors.append(Finding(
-                path=path, line=1, col=0, rule_id="PARSE-ERROR",
-                message=f"could not read: {exc}"))
-    return modules, errors
 
 
 # ----------------------------------------------------------------------
@@ -465,16 +419,14 @@ def _suppression_pass(analyses: Sequence[FileAnalysis],
 
 
 def run_check(paths: Sequence[str],
-              rules: Optional[Sequence[Rule]] = None,
-              exclude: Sequence[str] = (),
-              config_root: Optional[str] = None) -> CheckResult:
+              rules: Optional[Sequence[Rule]] = None) -> CheckResult:
     """Run ``rules`` (default: all registered) over ``paths``."""
     selected = list(rules) if rules is not None else all_rules()
     selected_ids = {r.id for r in selected}
     module_rules = [r for r in selected
                     if not isinstance(r, (ProjectRule, EnginePass))]
     analyses = [analyze_file(path, module_rules)
-                for path in expand_paths(paths, exclude, config_root)]
+                for path in expand_paths(paths)]
 
     findings: List[Finding] = []
     used: Set[Tuple[str, int]] = set()

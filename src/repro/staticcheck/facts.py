@@ -3,11 +3,10 @@
 The two-phase engine (see :mod:`repro.staticcheck.engine`) never hands
 an AST to a project-level pass.  Instead, phase 1 distills each file
 into a :class:`FileFacts` — everything any whole-program rule needs,
-expressed as plain data: unresolved import statements, async-function
-names, statement-expression calls, ``fault_point`` site definitions and
-``FaultSpec``/plan-dict site references, instrument metric definitions /
-emits / reads, ordering-registry definitions and lookups,
-and the inline-suppression map.  Collectors that scan the whole file
+expressed as plain data: unresolved import statements, ``fault_point``
+site definitions and ``FaultSpec``/plan-dict site references,
+instrument metric definitions / emits / reads, and the
+inline-suppression map.  Collectors that scan the whole file
 iterate the module's shared node list (one ``ast.walk`` per file).
 
 Everything here stays *context-free*: a fact depends only on the file's
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -36,8 +34,8 @@ from typing import (
 #: ``_record*``-style wrappers front ends keep around their lock.
 EMIT_CALL_ATTRS = frozenset({"incr", "record", "event", "span"})
 
-#: String literals longer than this cannot be metric names / registry
-#: keys and are not worth collecting.
+#: String literals longer than this cannot be metric names and are not
+#: worth collecting.
 _MAX_LITERAL_LEN = 80
 
 #: The dotted module whose module-level string constants form the
@@ -58,17 +56,6 @@ class RawImport:
     type_only: bool           # inside an `if TYPE_CHECKING:` block
 
 
-@dataclass(frozen=True)
-class StmtCall:
-    """A statement-expression call (``foo()`` / ``obj.meth()`` on its
-    own line) — the shape an unawaited coroutine takes."""
-
-    name: str                 # bare callee name (attr or function name)
-    dotted: Optional[str]     # full dotted chain when derivable
-    line: int
-    in_async: bool            # lexically inside an `async def`
-
-
 @dataclass
 class FileFacts:
     """The phase-2 interface to one analyzed file."""
@@ -79,10 +66,6 @@ class FileFacts:
     suppressions: Dict[int, Optional[FrozenSet[str]]] = field(
         default_factory=dict)
     imports: List[RawImport] = field(default_factory=list)
-    #: Bare names of every ``async def`` in the file (methods included).
-    async_defs: Tuple[str, ...] = ()
-    #: Statement-expression calls, for the unawaited-coroutine pass.
-    stmt_calls: List[StmtCall] = field(default_factory=list)
     #: ``fault_point("<site>", ...)`` literal site definitions.
     fault_sites: List[Tuple[str, int]] = field(default_factory=list)
     #: ``fault_point(<non-literal>)`` call count (degrades REG-UNKNOWN-SITE
@@ -103,10 +86,6 @@ class FileFacts:
     #: Names imported via ``from repro.instrument.names import X`` —
     #: counted as reads (their use context is unknown).
     metric_imports: Tuple[str, ...] = ()
-    #: Registry definitions: (kind, name, line); kind is "ordering".
-    registry_defs: List[Tuple[str, str, int]] = field(default_factory=list)
-    #: Registry lookups with a literal key: (kind, name, line).
-    registry_refs: List[Tuple[str, str, int]] = field(default_factory=list)
     #: Every short string literal in the file (sorted, deduplicated) —
     #: membership probes for "is this metric name asserted anywhere".
     string_literals: Tuple[str, ...] = ()
@@ -121,17 +100,6 @@ class FileFacts:
 # ----------------------------------------------------------------------
 # Collection
 # ----------------------------------------------------------------------
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _callee_name(func: ast.AST) -> Optional[str]:
@@ -194,32 +162,6 @@ def collect_raw_imports(tree: ast.Module) -> List[RawImport]:
             stack.append((child, child_lazy, child_type_only))
     out.sort(key=lambda imp: (imp.line, imp.module))
     return out
-
-
-def _collect_async(tree: ast.Module, nodes: Sequence[ast.AST]
-                   ) -> Tuple[Tuple[str, ...], List[StmtCall]]:
-    async_defs = sorted({node.name for node in nodes
-                         if isinstance(node, ast.AsyncFunctionDef)})
-    calls: List[StmtCall] = []
-    stack: List[Tuple[ast.AST, bool]] = [(tree, False)]
-    while stack:
-        node, in_async = stack.pop()
-        if (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)):
-            name = _callee_name(node.value.func)
-            if name is not None:
-                calls.append(StmtCall(
-                    name=name, dotted=_dotted(node.value.func),
-                    line=node.value.lineno, in_async=in_async))
-        for child in ast.iter_child_nodes(node):
-            child_async = in_async
-            if isinstance(node, ast.AsyncFunctionDef):
-                child_async = True
-            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                child_async = False
-            stack.append((child, child_async))
-    calls.sort(key=lambda call: call.line)
-    return tuple(async_defs), calls
 
 
 def _collect_faults(nodes: Sequence[ast.AST]
@@ -307,44 +249,6 @@ def _collect_metrics(tree: ast.Module, nodes: Sequence[ast.AST],
     return defs, refs, literal_emits, tuple(sorted(set(imports)))
 
 
-#: Lookup callables → registry kind.
-_REGISTRY_LOOKUPS = {
-    "get_ordering": "ordering",
-}
-
-
-def _collect_registry(nodes: Sequence[ast.AST]) -> Tuple[
-        List[Tuple[str, str, int]], List[Tuple[str, str, int]]]:
-    defs: List[Tuple[str, str, int]] = []
-    refs: List[Tuple[str, str, int]] = []
-    for node in nodes:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for deco in node.decorator_list:
-                if (isinstance(deco, ast.Call)
-                        and _callee_name(deco.func) == "register_ordering"):
-                    lit = _str_arg(deco, 0, keyword="name")
-                    if lit is not None:
-                        defs.append(("ordering", lit[0], lit[1]))
-        elif isinstance(node, ast.Call):
-            name = _callee_name(node.func)
-            kind = _REGISTRY_LOOKUPS.get(name or "")
-            if kind is not None:
-                lit = _str_arg(node, 0, keyword="name")
-                if lit is not None:
-                    refs.append((kind, lit[0], lit[1]))
-    # `register_ordering("x")` may also decorate plain callables or be
-    # called directly; count direct calls as definitions too.
-    for node in nodes:
-        if (isinstance(node, ast.Call)
-                and _callee_name(node.func) == "register_ordering"):
-            lit = _str_arg(node, 0, keyword="name")
-            if lit is not None:
-                entry = ("ordering", lit[0], lit[1])
-                if entry not in defs:
-                    defs.append(entry)
-    return sorted(defs), sorted(refs)
-
-
 def _collect_literals(nodes: Sequence[ast.AST]) -> Tuple[str, ...]:
     out = set()
     for node in nodes:
@@ -361,19 +265,15 @@ def collect_facts(tree: ast.Module, nodes: Sequence[ast.AST], path: str,
                   ) -> FileFacts:
     """Distill one parsed file into its :class:`FileFacts`; ``nodes``
     is ``list(ast.walk(tree))``."""
-    async_defs, stmt_calls = _collect_async(tree, nodes)
     fault_sites, dynamic_sites, fault_refs = _collect_faults(nodes)
     metric_defs, metric_refs, literal_emits, metric_imports = \
         _collect_metrics(tree, nodes, module)
-    registry_defs, registry_refs = _collect_registry(nodes)
     return FileFacts(
         path=path,
         module=module,
         package=package,
         suppressions=dict(suppressions),
         imports=collect_raw_imports(tree),
-        async_defs=async_defs,
-        stmt_calls=stmt_calls,
         fault_sites=fault_sites,
         dynamic_fault_sites=dynamic_sites,
         fault_refs=fault_refs,
@@ -381,8 +281,6 @@ def collect_facts(tree: ast.Module, nodes: Sequence[ast.AST], path: str,
         metric_refs=metric_refs,
         metric_literal_emits=literal_emits,
         metric_imports=metric_imports,
-        registry_defs=registry_defs,
-        registry_refs=registry_refs,
         string_literals=_collect_literals(nodes),
     )
 
@@ -413,16 +311,3 @@ class ProjectFacts:
             from repro.staticcheck.imports import resolve_project_edges
             self._edges = resolve_project_edges(self)
         return self._edges
-
-    def async_def_names(self) -> FrozenSet[str]:
-        names: set = set()
-        for facts in self.files:
-            names.update(facts.async_defs)
-        return frozenset(names)
-
-    def iter_scoped(self, packages: Optional[FrozenSet[str]]
-                    ) -> Iterable[FileFacts]:
-        for facts in self.files:
-            if packages is None or (facts.package is not None
-                                    and facts.package in packages):
-                yield facts

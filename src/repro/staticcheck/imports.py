@@ -11,14 +11,12 @@ edge records where it came from and whether it is
 * **type-only** — inside an ``if TYPE_CHECKING:`` block, erased at
   runtime, likewise excluded.
 
-Since the two-phase engine landed, collection and resolution are
-split: phase 1 records unresolved :class:`~repro.staticcheck.facts.
-RawImport` statements per file (context-free), and this
-module resolves them against the run's *known module set* in phase 2 —
-``from repro.curves import kernels`` depends on the submodule
-``repro.curves.kernels`` when one exists in the run, else on the
-package ``__init__`` that re-exports the name.  The AST-level
-``module_edges``/``project_edges`` entry points remain for direct use.
+Collection and resolution are split: phase 1 records unresolved
+:class:`~repro.staticcheck.facts.RawImport` statements per file
+(context-free), and this module resolves them against the run's *known
+module set* in phase 2 — ``from repro.curves import kernels`` depends
+on the submodule ``repro.curves.kernels`` when one exists in the run,
+else on the package ``__init__`` that re-exports the name.
 
 The layer map mirrors the package DAG documented in DESIGN.md §1; a
 package may import its own layer or below, never above.  New top-level
@@ -30,23 +28,9 @@ importing them upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Sequence,
-    Set,
-)
+from typing import Dict, Iterable, List, Set
 
-from repro.staticcheck.facts import (
-    ProjectFacts,
-    RawImport,
-    collect_raw_imports,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.staticcheck.engine import ModuleInfo
+from repro.staticcheck.facts import ProjectFacts, RawImport
 
 #: Layer ranks of the top-level components of ``repro``.  An import
 #: from rank r to rank r' is legal iff r' <= r.  Kept in one place so
@@ -157,23 +141,6 @@ def edges_from_raw(raw_imports: Iterable[RawImport], source_module: str,
                     line=raw.line, lazy=raw.lazy,
                     type_only=raw.type_only))
     edges.sort(key=lambda e: (e.line, e.target))
-    return edges
-
-
-def module_edges(module: "ModuleInfo",
-                 known: Set[str]) -> List[ImportEdge]:
-    """Every resolved ``repro.*`` import edge leaving ``module``."""
-    if module.module is None:
-        return []
-    return edges_from_raw(collect_raw_imports(module.tree),
-                          module.module, module.path, known)
-
-
-def project_edges(modules: Sequence["ModuleInfo"]) -> List[ImportEdge]:
-    known = {m.module for m in modules if m.module is not None}
-    edges: List[ImportEdge] = []
-    for module in sorted(modules, key=lambda m: m.path):
-        edges.extend(module_edges(module, known))
     return edges
 
 

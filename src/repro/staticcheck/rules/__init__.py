@@ -1,13 +1,8 @@
 """Shipped rule set; importing this package registers every rule.
 
-Rule catalogue (ids are stable API — suppressions and configs name
-them):
+Rule catalogue (ids are stable API — suppressions name them):
 
 ========================  ==============================================
-``ASYNC-BLOCKING``        blocking call inside ``async def`` (serve/client)
-``ASYNC-SHARED-MUT``      state mutated from both coroutine and thread
-                          contexts with no lock
-``ASYNC-UNAWAITED``       coroutine called as a statement, result discarded
 ``DET-RANDOM``            unseeded module-level ``random.*`` calls
 ``DET-TIME``              wall-clock reads inside engine packages
 ``DET-SET-ORDER``         bare-set iteration feeding ordered construction
@@ -20,9 +15,6 @@ them):
 ``LAY-KERNEL``            engine layer importing curve-kernel internals
 ``REG-UNKNOWN-SITE``      fault spec naming a nonexistent fault site
 ``REG-DEAD-METRIC``       metric emitted but never read, or vice versa
-``REG-DANGLING-KEY``      ordering lookup with no registration
-``RES-BARE-EXCEPT``       bare/``BaseException`` handler in service/
-                          parallel/resilience
 ``SUP-UNUSED``            suppression comment that suppresses nothing
 ========================  ==============================================
 """
@@ -30,15 +22,13 @@ them):
 from __future__ import annotations
 
 from repro.staticcheck.rules import (  # noqa: F401  (register on import)
-    async_safety,
     determinism,
     layering,
     numerics,
     pool_safety,
     registry,
-    resilience,
     suppressions,
 )
 
-__all__ = ["async_safety", "determinism", "layering", "numerics",
-           "pool_safety", "registry", "resilience", "suppressions"]
+__all__ = ["determinism", "layering", "numerics", "pool_safety",
+           "registry", "suppressions"]

@@ -2,12 +2,11 @@
 
 The reproduction wires subsystems together through string keys — fault
 sites (``fault_point("serve.admission")`` matched by ``MERLIN_FAULTS``
-globs and ``FaultSpec``s), instrument metric names
-(:mod:`repro.instrument.names`), and the ordering registry
-(``@register_ordering`` looked up by ``get_ordering``).  A typo on
-either side fails silently: the fault never fires, the metric is never
-charted, the lookup raises at runtime.  These phase-2 passes
-cross-check definition and use sites over the merged fact base.
+globs and ``FaultSpec``s) and instrument metric names
+(:mod:`repro.instrument.names`).  A typo on either side fails
+silently: the fault never fires, the metric is never charted.  These
+phase-2 passes cross-check definition and use sites over the merged
+fact base.
 
 Every pass gates on its definition side being *present in the run* —
 a narrowed run (one file, one package) that cannot see the registry
@@ -23,9 +22,6 @@ referenced by nothing at all.  Runs only when both the catalogue
 module and at least one out-of-tree file (tests) are in the run, so
 ``src``-only invocations do not flag metrics whose readers live in the
 test suite.
-
-``REG-DANGLING-KEY`` — a literal ordering lookup key with no matching
-registration in the run.
 """
 
 from __future__ import annotations
@@ -132,33 +128,5 @@ class DeadMetricRule(ProjectRule):
             findings.append(Finding(
                 path=path, line=line, col=0, rule_id=self.id,
                 message=f"metric {const} ({value!r}) {detail}"))
-        findings.sort()
-        return findings
-
-
-@register
-class DanglingRegistryKeyRule(ProjectRule):
-    id = "REG-DANGLING-KEY"
-    title = "registry lookup with no matching registration"
-
-    def check_project(self, project: ProjectFacts) -> Iterable[Finding]:
-        defs: Dict[str, Set[str]] = {}
-        for facts in project.files:
-            for kind, name, _line in facts.registry_defs:
-                defs.setdefault(kind, set()).add(name)
-        findings: List[Finding] = []
-        for facts in project.files:
-            for kind, name, line in facts.registry_refs:
-                known = defs.get(kind)
-                if not known:
-                    continue  # definition side absent from this run
-                if name in known:
-                    continue
-                findings.append(Finding(
-                    path=facts.path, line=line, col=0, rule_id=self.id,
-                    message=(f"{kind} lookup {name!r} has no matching "
-                             f"registration in the checked tree "
-                             f"(registered: {', '.join(sorted(known))}) "
-                             f"— the lookup raises at runtime")))
         findings.sort()
         return findings

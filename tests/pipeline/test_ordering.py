@@ -53,7 +53,7 @@ class TestRegistry:
 
     def test_unknown_name_raises_with_known_names(self):
         with pytest.raises(MerlinInputError, match="criticality"):
-            get_ordering("bogus")  # staticcheck: ignore[REG-DANGLING-KEY]
+            get_ordering("bogus")
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(MerlinInputError, match="already registered"):

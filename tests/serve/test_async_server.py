@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -14,6 +16,7 @@ import pytest
 from tests.conftest import build_net
 from repro.client import MerlinClient, RetryPolicy
 from repro.core.config import MerlinConfig
+from repro.instrument import names as metric
 from repro.loadgen import (
     WorkloadSpec,
     check_equivalence,
@@ -22,6 +25,7 @@ from repro.loadgen import (
     run_workload,
 )
 from repro.net import net_to_dict
+from repro.resilience.errors import MerlinInputError
 from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.routing.export import tree_from_dict, tree_signature
 from repro.routing.validate import validate_tree
@@ -339,6 +343,47 @@ def test_degraded_results_are_200_and_carry_the_degradation_detail():
     assert result["degradation"]["rung"] == "buffered_star"
     assert result["tree_signature"] == tree_signature(
         buffered_star(build_net(3, seed=17), TECH))
+
+
+@pytest.mark.parametrize("limit", [dict(budget_ops=-5),
+                                   dict(deadline_s=-1.0)],
+                         ids=["budget", "deadline"])
+def test_a_misconfigured_server_fails_to_start(limit):
+    # A bad limit is the operator's error, not the client's: the server
+    # must refuse to start rather than answer every request 400.
+    with pytest.raises(MerlinInputError):
+        EmbeddedAsyncServer(**SERVICE_KWARGS, **limit)
+
+
+def test_healthz_answers_while_a_solve_hangs():
+    """Handlers run on the executor, never on the event loop, so a
+    stuck solve cannot stall the probes."""
+    plan = FaultPlan(specs=(
+        FaultSpec(site="service.job", kind="hang", hang_s=2.0),))
+    responses = []
+    with EmbeddedAsyncServer(**SERVICE_KWARGS) as server:
+        client = _no_retry_client(server)
+        service = server.server.service
+        with use_fault_plan(plan):
+            solve = threading.Thread(target=lambda: responses.append(
+                client.request("POST", "/v1/optimize",
+                               {"net": net_to_dict(build_net(3, seed=36))})))
+            solve.start()
+            # The miss is counted just before the job (and its hang)
+            # starts on the handler thread.
+            deadline = time.monotonic() + 10
+            while service.stats()["counters"].get(
+                    metric.SERVICE_CACHE_MISSES, 0) < 1:
+                assert time.monotonic() < deadline, "the solve never began"
+                time.sleep(0.01)
+            started = time.perf_counter()
+            healthy = client.healthz()
+            elapsed = time.perf_counter() - started
+            still_solving = solve.is_alive()
+            solve.join(timeout=60)
+    assert elapsed < 1.0, f"healthz took {elapsed:.2f} s behind a hung solve"
+    assert healthy and still_solving
+    assert [r.status for r in responses] == [200]
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tests.conftest import build_net
 from repro.core.config import MerlinConfig
 from repro.instrument import names as metric
 from repro.net import Net, Sink
+from repro.resilience.errors import MerlinInputError
 from repro.routing.validate import validate_tree
 from repro.service import OptimizationService, ResultCache
 from repro.service import engine as engine_mod
@@ -227,6 +228,20 @@ def test_workers_default_comes_from_config():
 def test_workers_validation():
     with pytest.raises(ValueError):
         _service(workers=0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(budget_ops=-5), "budget_ops must be >= 0"),
+    (dict(deadline_s=-1.0), "deadline_s must be >= 0"),
+    (dict(job_timeout_s=0, workers=2), "job_timeout_s must be > 0"),
+    (dict(job_timeout_s=-1.0), "job_timeout_s must be > 0"),
+], ids=["budget", "deadline", "timeout-zero", "timeout-negative"])
+def test_bad_limits_fail_the_constructor_not_every_job(kwargs, message):
+    # Left to the jobs, a negative budget or deadline would fail each
+    # one as the client's input error, a non-positive timeout as a
+    # JobTimeoutError.
+    with pytest.raises(MerlinInputError, match=message):
+        _service(**kwargs)
 
 
 def test_close_is_idempotent():

@@ -1,4 +1,4 @@
-"""Engine-level behavior: suppressions, reporters, collection, config."""
+"""Engine-level behavior: suppressions, reporters, collection."""
 
 import json
 import os
@@ -6,15 +6,13 @@ import os
 import pytest
 
 from repro.staticcheck import (
-    CheckConfig,
     Finding,
     parse_module,
     render_json,
     render_text,
     run_check,
 )
-from repro.staticcheck.config import load_config
-from repro.staticcheck.engine import all_rules, get_rule
+from repro.staticcheck.engine import all_rules, expand_paths, get_rule
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -90,25 +88,34 @@ def test_non_repro_file_has_no_package():
 
 
 # ----------------------------------------------------------------------
-# Collection, excludes, error handling
+# Collection, the fixtures skip, error handling
 # ----------------------------------------------------------------------
 
+_BAD = "import random\nrandom.random()\n"
 
-def test_directory_walk_applies_exclude_globs(tmp_path):
-    (tmp_path / "keep.py").write_text("import random\nrandom.random()\n")
-    (tmp_path / "skip.py").write_text("import random\nrandom.random()\n")
-    result = run_check([str(tmp_path)], exclude=("*/skip.py",),
-                       config_root=None)
+
+def test_directory_walk_skips_fixtures_directories(tmp_path):
+    (tmp_path / "keep.py").write_text(_BAD)
+    for skipped in ("fixtures", "__pycache__", ".hidden"):
+        (tmp_path / skipped).mkdir()
+        (tmp_path / skipped / "bad.py").write_text(_BAD)
+    (tmp_path / "pkg" / "fixtures").mkdir(parents=True)
+    (tmp_path / "pkg" / "fixtures" / "bad.py").write_text(_BAD)
+    result = run_check([str(tmp_path)])
     assert result.files_checked == 1
-    assert {f.rule_id for f in result.findings} == {"DET-RANDOM"}
+    assert [f.path for f in result.findings] == [str(tmp_path / "keep.py")]
 
 
 def test_explicit_file_beats_exclude(tmp_path):
-    target = tmp_path / "skip.py"
-    target.write_text("import random\nrandom.random()\n")
-    result = run_check([str(target)], exclude=("*/skip.py",))
-    assert result.files_checked == 1
-    assert result.exit_code == 1
+    """A file or directory named on the command line is checked even
+    inside a ``fixtures`` directory the walk would skip."""
+    (tmp_path / "fixtures").mkdir()
+    target = tmp_path / "fixtures" / "bad.py"
+    target.write_text(_BAD)
+    for path in (target, tmp_path / "fixtures"):
+        result = run_check([str(path)])
+        assert result.files_checked == 1
+        assert result.exit_code == 1
 
 
 def test_syntax_error_becomes_parse_error_finding(tmp_path):
@@ -161,40 +168,28 @@ def test_findings_sort_deterministically():
 
 
 # ----------------------------------------------------------------------
-# Config
+# The shipped tests tree and the rule catalogue
 # ----------------------------------------------------------------------
 
 
-def test_repo_pyproject_config_loads_excludes():
-    config = load_config(REPO_ROOT)
-    assert config.root == REPO_ROOT
-    assert any("fixtures" in pattern for pattern in config.exclude)
-    assert config.enable == ()
-
-
-def test_missing_pyproject_yields_defaults(tmp_path):
-    assert load_config(str(tmp_path)) in (CheckConfig(),)
-
-
-def test_fixture_directory_is_excluded_by_repo_config():
-    config = load_config(REPO_ROOT)
-    result = run_check([os.path.join(REPO_ROOT, "tests", "staticcheck")],
-                       exclude=config.exclude, config_root=config.root)
-    # Every bad-example fixture is quarantined by the exclude globs;
-    # the test modules themselves must be clean.
+def test_staticcheck_tests_tree_is_clean_without_its_fixtures():
+    # Every bad-example fixture sits under fixtures/, which the walk
+    # skips; the test modules themselves must be clean.
+    tests_dir = os.path.join(REPO_ROOT, "tests", "staticcheck")
+    result = run_check([tests_dir])
     assert result.findings == []
+    assert not any(os.sep + "fixtures" + os.sep in path
+                   for path in expand_paths([tests_dir]))
 
 
 def test_rule_catalogue_is_complete_and_sorted():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids)
     assert set(ids) == {
-        "ASYNC-BLOCKING", "ASYNC-SHARED-MUT", "ASYNC-UNAWAITED",
         "DET-RANDOM", "DET-TIME", "DET-SET-ORDER", "DET-ID-HASH",
         "POOL-CALLABLE", "POOL-RECORDER", "NUM-FLOAT-EQ",
         "LAY-UPWARD", "LAY-CYCLE", "LAY-KERNEL",
-        "REG-UNKNOWN-SITE", "REG-DEAD-METRIC", "REG-DANGLING-KEY",
-        "RES-BARE-EXCEPT", "SUP-UNUSED",
+        "REG-UNKNOWN-SITE", "REG-DEAD-METRIC", "SUP-UNUSED",
     }
     with pytest.raises(KeyError):
         get_rule("NO-SUCH-RULE")

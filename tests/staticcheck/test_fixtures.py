@@ -12,9 +12,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 
 EXPECTED = [
-    ("async_blocking.py", "ASYNC-BLOCKING"),
-    ("async_shared_mut.py", "ASYNC-SHARED-MUT"),
-    ("async_unawaited.py", "ASYNC-UNAWAITED"),
     ("det_random.py", "DET-RANDOM"),
     ("det_time.py", "DET-TIME"),
     ("det_set_order.py", "DET-SET-ORDER"),
@@ -25,8 +22,6 @@ EXPECTED = [
     ("lay_upward.py", "LAY-UPWARD"),
     ("lay_kernel.py", "LAY-KERNEL"),
     ("reg_unknown_site.py", "REG-UNKNOWN-SITE"),
-    ("reg_dangling_key.py", "REG-DANGLING-KEY"),
-    ("res_bare_except.py", "RES-BARE-EXCEPT"),
     ("sup_unused.py", "SUP-UNUSED"),
 ]
 

@@ -1,16 +1,17 @@
 """Import-graph builder: resolution, exemptions, layers, cycles."""
 
+import ast
 import os
 
 from repro.staticcheck.engine import parse_module
+from repro.staticcheck.facts import collect_raw_imports
 from repro.staticcheck.imports import (
     PACKAGE_LAYERS,
     build_graph,
+    edges_from_raw,
     find_cycles,
     layer_of,
-    module_edges,
     package_of,
-    project_edges,
 )
 
 REPO_ROOT = os.path.dirname(
@@ -19,9 +20,8 @@ SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
 
 
 def edges_of(source, module="repro.core.example", known=()):
-    info = parse_module("x.py", source=f"# staticcheck: module={module}\n"
-                                       + source)
-    return module_edges(info, set(known))
+    return edges_from_raw(collect_raw_imports(ast.parse(source)), module,
+                          "x.py", set(known))
 
 
 def test_plain_import_resolves_verbatim():
@@ -107,7 +107,11 @@ def test_shipped_tree_has_no_runtime_cycles():
         for name in sorted(filenames):
             if name.endswith(".py"):
                 modules.append(parse_module(os.path.join(dirpath, name)))
-    graph = build_graph(project_edges(modules))
+    known = {m.module for m in modules}
+    edges = [edge for m in modules
+             for edge in edges_from_raw(collect_raw_imports(m.tree),
+                                        m.module, m.path, known)]
+    graph = build_graph(edges)
     assert find_cycles(graph) == []
 
 

@@ -100,27 +100,71 @@ class TestWorkersFlag:
         assert "argument --workers: must be an integer >= 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv,flag,minimum", [
-        (["serve", "--queue-limit", "0"], "--queue-limit", 1),
-        (["serve", "--cache-capacity", "0"], "--cache-capacity", 1),
-        (["serve", "--pool-retries", "-1"], "--pool-retries", 0),
-        (["loadgen", "--queue-limit", "0"], "--queue-limit", 1),
-        (["serve", "--cache-capacity", "many"], "--cache-capacity", 1),
+    #: Arguments that make each command's run cheap and finite should a
+    #: bad value slip through parsing (``serve`` is stubbed out below).
+    _VALID = {
+        "serve": ["--preset", "test"],
+        "loadgen": ["--requests", "2", "--nets", "1", "--min-sinks", "2",
+                    "--max-sinks", "2", "--preset", "test"],
+        "net": ["--seed", "2"],
+        "ablation": ["--seed", "2"],
+    }
+
+    @pytest.mark.parametrize("argv,flag,expected", [
+        (["serve", "--queue-limit", "0"], "--queue-limit",
+         "an integer >= 1"),
+        (["serve", "--cache-capacity", "0"], "--cache-capacity",
+         "an integer >= 1"),
+        (["serve", "--pool-retries", "-1"], "--pool-retries",
+         "an integer >= 0"),
+        (["loadgen", "--queue-limit", "0"], "--queue-limit",
+         "an integer >= 1"),
+        (["serve", "--cache-capacity", "many"], "--cache-capacity",
+         "an integer >= 1"),
+        (["serve", "--budget-ops", "-5"], "--budget-ops", "an integer >= 0"),
+        (["serve", "--port", "-5"], "--port", "an integer from 0 to 65535"),
+        (["serve", "--port", "65536"], "--port",
+         "an integer from 0 to 65535"),
+        (["net", "--sinks", "0"], "--sinks", "an integer >= 1"),
+        (["net", "--sinks", "-2"], "--sinks", "an integer >= 1"),
+        (["net", "--sinks", "3", "--multi-start", "-1"], "--multi-start",
+         "an integer >= 0"),
+        (["ablation", "curves", "--sinks", "0"], "--sinks",
+         "an integer >= 1"),
+        (["loadgen", "--concurrency", "-3"], "--concurrency",
+         "an integer >= 1"),
+        (["serve", "--deadline", "-1"], "--deadline",
+         "a finite number of seconds >= 0"),
+        (["serve", "--deadline", "nan"], "--deadline",
+         "a finite number of seconds >= 0"),
+        (["serve", "--drain-timeout", "-1"], "--drain-timeout",
+         "a finite number of seconds >= 0"),
+        (["serve", "--job-timeout", "0"], "--job-timeout",
+         "a finite number of seconds > 0"),
+        (["serve", "--job-timeout", "soon"], "--job-timeout",
+         "a finite number of seconds > 0"),
     ], ids=["serve-queue-limit", "serve-cache-capacity",
-            "serve-pool-retries", "loadgen-queue-limit", "not-a-number"])
-    def test_out_of_range_count_is_a_usage_error(self, argv, flag, minimum,
-                                                 capsys):
+            "serve-pool-retries", "loadgen-queue-limit", "not-a-number",
+            "serve-budget-ops", "serve-port-negative", "serve-port-too-big",
+            "net-sinks-zero", "net-sinks-negative", "net-multi-start",
+            "ablation-sinks", "loadgen-concurrency", "serve-deadline",
+            "serve-deadline-nan", "serve-drain-timeout",
+            "serve-job-timeout-zero", "serve-job-timeout-not-a-number"])
+    def test_out_of_range_count_is_a_usage_error(self, argv, flag, expected,
+                                                 capsys, monkeypatch):
         """The constructors' range checks, enforced at parse time:
-        exit 2 with a usage line, never a MerlinInputError traceback."""
+        exit 2 with a usage line, never a traceback, a silently clamped
+        value or a server that fails every request."""
+        import repro.serve as serve_mod
+
+        monkeypatch.setattr(serve_mod, "serve_async",
+                            lambda *args, **kwargs: None)
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--port", "0", "--preset", "test"]
-                 if argv[0] == "serve" else
-                 argv + ["--requests", "2", "--nets", "1",
-                         "--preset", "test"])
+            main(argv + self._VALID[argv[0]])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert f"argument {flag}: must be an integer >= {minimum}" in err
+        assert f"argument {flag}: must be {expected}" in err
         assert "Traceback" not in err
 
     def test_loadgen_zero_means_one_per_cpu(self, capsys):
