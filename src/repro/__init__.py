@@ -50,7 +50,6 @@ from repro.service import (
     OptimizationService,
     ResultCache,
     ServiceResult,
-    optimize_many,
 )
 
 __version__ = "1.3.0"
@@ -85,6 +84,5 @@ __all__ = [
     "OptimizationService",
     "ServiceResult",
     "ResultCache",
-    "optimize_many",
     "__version__",
 ]

@@ -117,7 +117,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_srv.add_argument("--workers", type=_at_least(0), default=None,
                        help="warm-pool size of the service (default: the "
                             "config's workers; 0 = one per CPU; 1 = "
-                            "serial)")
+                            "serial).  The pool starts on the first miss "
+                            "under a timeout (--job-timeout, or a "
+                            "request's timeout_s); until then each "
+                            "request's miss runs inline on its handler "
+                            "thread")
     p_srv.add_argument("--preset", choices=["fast", "test", "paper"],
                        default="fast",
                        help="MerlinConfig preset the service optimizes "

@@ -6,9 +6,9 @@ Turns the one-shot MERLIN engine into a long-lived multi-net service:
   rename-normalized geometry + tech/config/objective fingerprints);
 * :mod:`repro.service.cache` — :class:`ResultCache`, an in-memory LRU
   with an optional on-disk JSON tier, keyed by canonical signature;
-* :mod:`repro.service.engine` — :class:`OptimizationService` /
-  :func:`optimize_many`, the warm-process-pool batch engine with per-job
-  timeout, error isolation, and serial degradation;
+* :mod:`repro.service.engine` — :class:`OptimizationService`, the
+  warm-process-pool batch engine with per-job timeout, error isolation,
+  and serial degradation;
 * :mod:`repro.service.protocol` — the versioned v1 wire surface
   (envelope, error bodies, endpoint handlers); the HTTP front end behind
   ``merlin-repro serve`` lives in :mod:`repro.serve`.
@@ -28,11 +28,7 @@ from repro.service.canonical import (
     canonical_request,
     technology_fingerprint,
 )
-from repro.service.engine import (
-    OptimizationService,
-    ServiceResult,
-    optimize_many,
-)
+from repro.service.engine import OptimizationService, ServiceResult
 from repro.service.protocol import API_VERSION, EndpointOutcome, envelope
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "technology_fingerprint",
     "OptimizationService",
     "ServiceResult",
-    "optimize_many",
     "API_VERSION",
     "EndpointOutcome",
     "envelope",

@@ -19,14 +19,16 @@ Contract per job:
   exact repeat rebuilds with a zero offset and is bit-identical —
   same ``tree_signature`` — to the cold run that populated the entry.
   Canonical twins *within one batch* are deduplicated too: the DP runs
-  once and the twins resolve from the freshly cached entry.
+  once per canonical key, and every twin's answer is rebuilt in its own
+  frame from that job's payload (or carries that job's error record).
 * **Error isolation.**  A job that raises (in a worker or inline)
   yields a ``ServiceResult`` with ``ok=False`` and a structured
   :class:`~repro.resilience.errors.ErrorRecord` (kind / category /
   stage); the other jobs of the batch are unaffected.
 * **Crash recovery.**  A worker process that *dies*
-  (``BrokenProcessPool``) does not fail its job: the pool is rebuilt
-  with bounded exponential backoff and every uncollected job is
+  (``BrokenProcessPool``), or a pool shut down under a batch, does not
+  fail its jobs: the pool is rebuilt with bounded exponential backoff
+  (0.05 s, doubling, capped at 1 s) and every uncollected job is
   resubmitted; after ``pool_retries`` rebuilds the survivors run
   serially inline.  Either way the caller gets real results, and
   ``resilience.pool.rebuilds`` / ``resilience.job.retries`` record the
@@ -51,18 +53,22 @@ order), and workers run with ``config.recorder`` stripped, exactly like
 
 Chaos hooks: job dispatch and worker entry pass through the
 ``service.job`` / ``service.worker`` fault points
-(:mod:`repro.resilience.faults`).
+(:mod:`repro.resilience.faults`).  The pool's initializer installs, in
+every worker, the fault plan that was active when the pool was created,
+so a plan reaches the workers under any start method.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.config import MerlinConfig
 from repro.core.objective import Objective
@@ -77,7 +83,11 @@ from repro.resilience.errors import (
     MerlinInputError,
     classify,
 )
-from repro.resilience.faults import fault_point
+from repro.resilience.faults import (
+    active_fault_plan,
+    fault_point,
+    install_fault_plan,
+)
 from repro.routing.evaluate import evaluate_tree
 from repro.routing.export import (
     evaluation_to_dict,
@@ -91,7 +101,8 @@ from repro.service.canonical import canonical_key, technology_fingerprint
 from repro.tech.technology import Technology, default_technology
 
 #: Backoff before pool rebuild r (1-based) is
-#: ``min(_POOL_BACKOFF_CAP_S, backoff_base * 2**(r-1))``.
+#: ``min(_POOL_BACKOFF_CAP_S, _POOL_BACKOFF_BASE_S * 2**(r-1))``.
+_POOL_BACKOFF_BASE_S = 0.05
 _POOL_BACKOFF_CAP_S = 1.0
 
 
@@ -152,15 +163,19 @@ def _run_job(job: _Job) -> Dict[str, Any]:
 
 
 def _invoke_job(job: _Job) -> Dict[str, Any]:
-    """Pool entry point: resolves the runner at call time in the worker,
-    so tests can monkeypatch ``_JOB_RUNNER`` (inherited via fork) to
-    inject failures and stalls without touching the engine."""
+    """Pool entry point: the ``service.worker`` fault site, then the job."""
     fault_point("service.worker", key=job.net.name)
-    return _JOB_RUNNER(job)
+    return _run_job(job)
 
 
-#: Indirection target of :func:`_invoke_job`; tests swap this.
-_JOB_RUNNER = _run_job
+def _check_timeout(name: str, value: Optional[float]) -> None:
+    """Reject a timeout that is neither None nor a finite number > 0."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))
+                              or not 0 < value < math.inf):
+        raise MerlinInputError(
+            f"{name} must be > 0 and finite, got {value!r}")
+
 
 #: A finished job is either a payload dict or a structured error.
 _Outcome = Union[Dict[str, Any], ErrorRecord]
@@ -247,11 +262,9 @@ class OptimizationService:
         module docstring).  ``budget_ops`` is deterministic;
         ``deadline_s`` is wall-clock.
     ``pool_retries``
-        How many times a broken pool is rebuilt (with exponential
-        backoff) before the surviving jobs run serially inline.
-    ``pool_retry_backoff_s``
-        Base of the backoff; rebuild ``r`` sleeps
-        ``min(1.0, base * 2**(r-1))`` seconds.  Tests set 0.
+        How many times a broken pool is rebuilt before the surviving
+        jobs run serially inline; rebuild ``r`` first sleeps
+        ``min(1.0, 0.05 * 2**(r-1))`` seconds.
     """
 
     def __init__(self, tech: Optional[Technology] = None,
@@ -263,8 +276,7 @@ class OptimizationService:
                  recorder: Optional[Recorder] = None,
                  budget_ops: Optional[int] = None,
                  deadline_s: Optional[float] = None,
-                 pool_retries: int = 2,
-                 pool_retry_backoff_s: float = 0.05) -> None:
+                 pool_retries: int = 2) -> None:
         self.tech = tech or default_technology()
         # Workers never share the parent's recorder (unpicklable, racy);
         # budgets are per-job, never part of the shared config.
@@ -284,13 +296,11 @@ class OptimizationService:
             raise MerlinInputError("budget_ops must be >= 0")
         if deadline_s is not None and deadline_s < 0:
             raise MerlinInputError("deadline_s must be >= 0")
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise MerlinInputError("job_timeout_s must be > 0")
+        _check_timeout("job_timeout_s", job_timeout_s)
         self.job_timeout_s = job_timeout_s
         self.budget_ops = budget_ops
         self.deadline_s = deadline_s
         self.pool_retries = pool_retries
-        self.pool_retry_backoff_s = pool_retry_backoff_s
         self.recorder = recorder or Recorder()
         if self.cache.recorder is None:
             self.cache.recorder = self.recorder
@@ -342,7 +352,12 @@ class OptimizationService:
             if self._pool_disabled is not None:
                 return None
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                # The initializer hands every worker the caller's fault
+                # plan, which a spawned or forkserver worker would not
+                # otherwise see.
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=install_fault_plan,
+                    initargs=(active_fault_plan(),))
             except (OSError, ImportError, NotImplementedError) as exc:
                 # No process support here: degrade to serial, remember why.
                 self._pool_disabled = repr(exc)
@@ -389,15 +404,16 @@ class OptimizationService:
             raise MerlinInputError(
                 f"objectives ({len(objectives)}) must align with nets "
                 f"({len(nets)})")
+        _check_timeout("timeout_s", timeout_s)
         job_objectives = [obj if obj is not None else self.objective
                           for obj in objectives]
         timeout_s = timeout_s if timeout_s is not None else self.job_timeout_s
         started = [time.perf_counter()] * len(nets)
         results: List[Optional[ServiceResult]] = [None] * len(nets)
-        keys: List[Optional[str]] = [None] * len(nets)
-        misses: List[int] = []
-        duplicates: List[int] = []
-        dispatched: set = set()
+        # Per canonical key missed in this batch: its one job, and the
+        # nets that job answers (the miss first, then its twins).
+        jobs: Dict[str, _Job] = {}
+        waiting: Dict[str, List[int]] = {}
 
         for i, net in enumerate(nets):
             started[i] = time.perf_counter()
@@ -411,26 +427,27 @@ class OptimizationService:
                 results[i] = self._error_result(
                     net, started[i], classify(exc, stage="canonicalize"))
                 continue
-            keys[i] = key
+            if key in jobs:
+                waiting[key].append(i)
+                continue
             payload = self.cache.get(key)
             if payload is not None:
                 self._record(metric.SERVICE_CACHE_HITS)
                 results[i] = self._from_payload(net, payload, cached=True,
                                                 started=started[i])
-            elif key in dispatched:
-                # Canonical twin of an earlier miss in this same batch:
-                # run the DP once, resolve this one from the cache after.
-                duplicates.append(i)
             else:
                 self._record(metric.SERVICE_CACHE_MISSES)
-                dispatched.add(key)
-                misses.append(i)
+                jobs[key] = _Job(net=net, tech=self.tech, config=self.config,
+                                 objective=job_objectives[i],
+                                 budget_ops=self.budget_ops,
+                                 deadline_s=self.deadline_s)
+                waiting[key] = [i]
 
-        if misses:
-            self._run_misses(nets, misses, keys, started, results, timeout_s,
-                             job_objectives)
-        for i in duplicates:
-            self._resolve_duplicate(nets[i], i, keys, started, results)
+        for key, outcome in self._run_misses(jobs, timeout_s):
+            self._finish_job(key, outcome)
+            for n, i in enumerate(waiting[key]):
+                results[i] = self._answer(nets[i], started[i], outcome,
+                                          twin=n > 0)
 
         for i, result in enumerate(results):
             assert result is not None
@@ -461,58 +478,31 @@ class OptimizationService:
 
     # -- miss execution -------------------------------------------------
 
-    def _make_job(self, net: Net,
-                  objective: Optional[Objective] = None) -> _Job:
-        return _Job(net=net, tech=self.tech, config=self.config,
-                    objective=objective if objective is not None
-                    else self.objective,
-                    budget_ops=self.budget_ops,
-                    deadline_s=self.deadline_s)
+    def _run_misses(self, jobs: Dict[str, _Job], timeout_s: Optional[float]
+                    ) -> Iterator[Tuple[str, _Outcome]]:
+        """Run each job once; yield ``(key, outcome)`` in batch order.
 
-    def _run_misses(self, nets: Sequence[Net], misses: List[int],
-                    keys: List[Optional[str]], started: List[float],
-                    results: List[Optional[ServiceResult]],
-                    timeout_s: Optional[float],
-                    objectives: Optional[Sequence[Objective]] = None) -> None:
-        jobs = {i: self._make_job(
-            nets[i], objectives[i] if objectives is not None else None)
-            for i in misses}
-        if (len(misses) == 1 and timeout_s is None
-                and self._pool is None):
-            # Singleton batch, no deadline, no warm pool yet: spawning a
-            # multi-process pool costs more than the job itself, so run
-            # it inline (bit-identical results — the pool exists for
-            # parallelism and timeout enforcement, and neither applies).
-            # A timeout, or an already-warm pool, keeps the pool path.
-            i = misses[0]
-            self._finish_job(nets[i], i, keys, started, results,
-                             self._run_inline(jobs[i]))
-            return
-        pool = self._acquire_pool()
-        if pool is None:
-            for i in misses:
-                self._finish_job(nets[i], i, keys, started, results,
-                                 self._run_inline(jobs[i]))
-            return
-
-        pending = list(misses)
+        Jobs go to the warm pool while it is usable.  A pool that breaks
+        (a worker died) or is already shut down fails no job: it is
+        rebuilt, after a backoff, at most ``pool_retries`` times, and
+        every uncollected job is resubmitted.  Whatever is left then
+        runs inline, as everything does when there is no pool.
+        """
+        pending = list(jobs)
+        # A lone miss with no timeout and no warm pool runs inline:
+        # spawning the pool costs more than the job, and the results are
+        # the same either way.
+        lone = len(pending) == 1 and timeout_s is None and self._pool is None
+        pool = self._acquire_pool() if pending and not lone else None
         rebuilds = 0
-        while pending:
+        while pending and pool is not None:
             try:
-                futures = {i: pool.submit(_invoke_job, jobs[i])
-                           for i in pending}
-            except RuntimeError:  # pool already shut down
-                self._discard_pool(pool)
-                pool = self._acquire_pool()
-                if pool is None:
-                    for i in pending:
-                        self._finish_job(nets[i], i, keys, started, results,
-                                         self._run_inline(jobs[i]))
-                    return
-                continue
-            broken = False
-            for i in pending:
-                future = futures[i]
+                futures = [pool.submit(_invoke_job, jobs[key])
+                           for key in pending]
+            except RuntimeError:  # shut down or broken under us
+                futures = []
+            collected = 0
+            for key, future in zip(pending, futures):
                 try:
                     outcome: _Outcome = future.result(timeout=timeout_s)
                 except FutureTimeoutError:
@@ -522,65 +512,44 @@ class OptimizationService:
                     outcome = JobTimeoutError(
                         f"job timed out after {timeout_s}s "
                         f"(worker still draining)", stage="pool").record
-                except BrokenProcessPool:
-                    # A worker died.  Do NOT fail the job: rebuild the
-                    # pool (bounded, with backoff) and resubmit every
-                    # job not yet collected — this one included.
-                    broken = True
+                except BrokenProcessPool:  # a worker died: rebuild below
                     break
                 except Exception as exc:
-                    self._record(metric.SERVICE_JOB_FAILURES)
-                    self._record(metric.SERVICE_ERRORS)
-                    outcome = classify(exc, stage="engine")
-                self._finish_job(nets[i], i, keys, started, results, outcome)
-            if not broken:
-                return
-            pending = [i for i in pending if results[i] is None]
+                    outcome = self._job_failed(exc)
+                collected += 1
+                yield key, outcome
+            pending = pending[collected:]
+            if not pending:
+                break
             self._discard_pool(pool)
             rebuilds += 1
             self._record(metric.RESILIENCE_POOL_REBUILDS)
             self._record(metric.RESILIENCE_JOB_RETRIES, len(pending))
-            if rebuilds > self.pool_retries:
-                # Retry budget spent: the pool path is not trustworthy
-                # right now — finish the survivors serially inline.
-                for i in pending:
-                    self._finish_job(nets[i], i, keys, started, results,
-                                     self._run_inline(jobs[i]))
-                return
-            backoff = min(_POOL_BACKOFF_CAP_S,
-                          self.pool_retry_backoff_s * (2 ** (rebuilds - 1)))
-            if backoff > 0:
-                time.sleep(backoff)
-            pool = self._acquire_pool()
-            if pool is None:
-                for i in pending:
-                    self._finish_job(nets[i], i, keys, started, results,
-                                     self._run_inline(jobs[i]))
-                return
+            pool = None
+            if rebuilds <= self.pool_retries:
+                time.sleep(min(_POOL_BACKOFF_CAP_S,
+                               _POOL_BACKOFF_BASE_S * 2 ** (rebuilds - 1)))
+                pool = self._acquire_pool()
+        for key in pending:
+            try:
+                outcome = _run_job(jobs[key])
+            except Exception as exc:
+                outcome = self._job_failed(exc)
+            yield key, outcome
 
-    def _run_inline(self, job: _Job) -> _Outcome:
-        """Serial fallback: payload dict on success, structured error
-        record on failure (same isolation contract as the pool path)."""
-        try:
-            return _JOB_RUNNER(job)
-        except Exception as exc:
-            self._record(metric.SERVICE_JOB_FAILURES)
-            self._record(metric.SERVICE_ERRORS)
-            return classify(exc, stage="engine")
+    def _job_failed(self, exc: Exception) -> ErrorRecord:
+        """Count a job that raised (in a worker or inline); classify it."""
+        self._record(metric.SERVICE_JOB_FAILURES)
+        self._record(metric.SERVICE_ERRORS)
+        return classify(exc, stage="engine")
 
-    def _finish_job(self, net: Net, i: int, keys: List[Optional[str]],
-                    started: List[float],
-                    results: List[Optional[ServiceResult]],
-                    outcome: _Outcome) -> None:
-        """Record one job's outcome: payload dict = success (cached for
-        next time unless degraded), ErrorRecord = failure."""
+    def _finish_job(self, key: str, outcome: _Outcome) -> None:
+        """Count one job's outcome; cache its payload unless degraded."""
         self._record(metric.SERVICE_JOBS)
         if isinstance(outcome, ErrorRecord):
-            results[i] = self._error_result(net, started[i], outcome)
             return
         self._record_series(metric.SERVICE_JOB_LATENCY_S,
                             outcome.get("engine_wall_s", 0.0))
-        key = keys[i]
         if outcome.get("degraded"):
             # A degraded payload must never serve a future full-quality
             # lookup: the budget is excluded from the canonical key.
@@ -590,56 +559,27 @@ class OptimizationService:
                 if attempt.get("error", {}).get("kind") \
                         == "BudgetExhaustedError":
                     self._record(metric.RESILIENCE_BUDGET_EXHAUSTED)
-        elif key is not None:
+        else:
             self.cache.put(key, outcome)
-        results[i] = self._from_payload(net, outcome, cached=False,
-                                        started=started[i])
-
-    def _resolve_duplicate(self, net: Net, i: int,
-                           keys: List[Optional[str]], started: List[float],
-                           results: List[Optional[ServiceResult]]) -> None:
-        """Answer a within-batch canonical twin from the entry its
-        primary just cached (or mirror the primary's outcome when no
-        entry exists — failures, degraded answers)."""
-        key = keys[i]
-        payload = self.cache.get(key) if key is not None else None
-        if payload is not None:
-            self._record(metric.SERVICE_CACHE_HITS)
-            results[i] = self._from_payload(net, payload, cached=True,
-                                            started=started[i])
-            return
-        primary = next((r for j, r in enumerate(results)
-                        if r is not None and keys[j] == key and j != i),
-                       None)
-        if primary is not None and primary.ok:
-            # Degraded primary: nothing was cached; mirror its answer by
-            # rebuilding from this net's own frame is not possible here,
-            # so re-present the primary's tree data for this twin.
-            results[i] = ServiceResult(
-                net_name=net.name,
-                ok=True,
-                cached=False,
-                elapsed_s=time.perf_counter() - started[i],
-                signature=primary.signature,
-                cost=primary.cost,
-                iterations=primary.iterations,
-                converged=primary.converged,
-                degraded=primary.degraded,
-                degradation=primary.degradation,
-                tree=primary.tree,
-                evaluation=primary.evaluation,
-            )
-            return
-        self._record(metric.SERVICE_ERRORS)
-        record = primary.error_record if primary is not None else None
-        if record is None:
-            record = ErrorRecord(
-                kind="MerlinInternalError", category="internal",
-                stage="service",
-                message="canonically identical job in this batch failed")
-        results[i] = self._error_result(net, started[i], record)
 
     # -- result assembly ------------------------------------------------
+
+    def _answer(self, net: Net, started: float, outcome: _Outcome,
+                twin: bool) -> ServiceResult:
+        """``net``'s answer from the outcome of its canonical key's job.
+
+        A twin of a full-quality answer counts as a cache hit, since no
+        DP ran for it; a twin of a failed job counts as one more error.
+        """
+        if isinstance(outcome, ErrorRecord):
+            if twin:
+                self._record(metric.SERVICE_ERRORS)
+            return self._error_result(net, started, outcome)
+        cached = twin and not outcome.get("degraded")
+        if cached:
+            self._record(metric.SERVICE_CACHE_HITS)
+        return self._from_payload(net, outcome, cached=cached,
+                                  started=started)
 
     def _from_payload(self, net: Net, payload: Dict[str, Any], cached: bool,
                       started: float) -> ServiceResult:
@@ -664,11 +604,7 @@ class OptimizationService:
         )
 
     def _error_result(self, net: Net, started: float,
-                      error: Union[str, ErrorRecord]) -> ServiceResult:
-        if isinstance(error, str):
-            error = ErrorRecord(kind="MerlinInternalError",
-                                category="internal", stage="service",
-                                message=error)
+                      error: ErrorRecord) -> ServiceResult:
         return ServiceResult(
             net_name=net.name,
             ok=False,
@@ -689,24 +625,3 @@ class OptimizationService:
     def _record_series(self, name: str, value: float) -> None:
         with self._lock:
             self.recorder.record(name, value)
-
-
-def optimize_many(nets: Sequence[Net], tech: Optional[Technology] = None,
-                  config: Optional[MerlinConfig] = None,
-                  objective: Optional[Objective] = None,
-                  workers: Optional[int] = None,
-                  cache: Optional[ResultCache] = None,
-                  timeout_s: Optional[float] = None,
-                  budget_ops: Optional[int] = None,
-                  deadline_s: Optional[float] = None) -> List[ServiceResult]:
-    """One-shot convenience: optimize ``nets`` through a transient
-    :class:`OptimizationService` (spawn pool, stream jobs, shut down).
-
-    Long-running callers should hold an :class:`OptimizationService` of
-    their own so the pool and cache stay warm across batches.
-    """
-    with OptimizationService(tech=tech, config=config, objective=objective,
-                             cache=cache, workers=workers,
-                             budget_ops=budget_ops,
-                             deadline_s=deadline_s) as service:
-        return service.optimize_many(nets, timeout_s=timeout_s)

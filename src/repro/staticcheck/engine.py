@@ -96,7 +96,6 @@ class ModuleInfo:
     """One parsed source file plus the derived metadata rules need."""
 
     path: str                      # path as reported in findings
-    source: str
     tree: ast.Module
     #: ``list(ast.walk(tree))``, walked once at parse time: rules and
     #: fact collectors that scan the whole file iterate this list.
@@ -272,7 +271,6 @@ def parse_module(path: str, source: Optional[str] = None) -> ModuleInfo:
         module = override.group(1)
     return ModuleInfo(
         path=path,
-        source=source,
         tree=tree,
         nodes=list(ast.walk(tree)),
         module=module,

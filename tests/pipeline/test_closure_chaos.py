@@ -12,11 +12,12 @@ prove the *pipeline-level* consequences:
   accepts the degraded trees (tagged in ``degraded_nets``) and the
   service never caches them, so a later iteration (or run) recomputes
   at full quality rather than replaying the fallback.
+
+The pool's initializer installs the active fault plan in every worker,
+so the pool-path scenarios run under any start method.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
@@ -35,21 +36,15 @@ SPEC = CircuitSpec(name="chaos_closure", primary_inputs=4,
                    primary_outputs=3, logic_gates=10, levels=3,
                    max_fanout=4, seed=3)
 
-FORK = multiprocessing.get_start_method() == "fork"
-needs_fork = pytest.mark.skipif(
-    not FORK, reason="pool-path chaos relies on fork inheritance")
-
 
 def _service(**kwargs):
     kwargs.setdefault("tech", TECH)
     kwargs.setdefault("config", CFG)
     kwargs.setdefault("cache", ResultCache())
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("pool_retry_backoff_s", 0.0)
     return OptimizationService(**kwargs)
 
 
-@needs_fork
 def test_killed_worker_mid_closure_still_converges_clean(tmp_path):
     clean = run_closure(generate_circuit(SPEC), config=CFG,
                         closure=ClosureConfig(), workers=1)
@@ -71,7 +66,6 @@ def test_killed_worker_mid_closure_still_converges_clean(tmp_path):
     assert stats["counters"][metric.RESILIENCE_POOL_REBUILDS] >= 1
 
 
-@needs_fork
 def test_hung_workers_mid_closure_terminate_with_a_valid_result():
     # Every job hangs past the service timeout: all optimizations fail,
     # the nets keep their star estimates, and closure must converge

@@ -14,17 +14,15 @@ The acceptance scenarios of the resilience work:
 * with **no plan installed** the whole framework must be invisible.
 
 Everything runs under fixed fault seeds and is asserted twice where
-determinism is the claim.  Pool-path tests need fork (the plan and the
-patched module state reach workers by inheritance).
+determinism is the claim.  The pool's initializer installs the active
+plan in every worker, so the pool-path scenarios run under any start
+method.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-
-import pytest
 
 from tests.conftest import build_net
 from repro.baselines.star import buffered_star
@@ -38,15 +36,13 @@ from repro.resilience.faults import (
 from repro.routing.export import tree_signature
 from repro.routing.validate import validate_tree
 from repro.service import OptimizationService, ResultCache
+from repro.service import engine as engine_mod
 from repro.service.cache import QUARANTINE_DIR
 from repro.tech.technology import default_technology
 
 TECH = default_technology()
 CONFIG = MerlinConfig.test_preset()
-
-FORK = multiprocessing.get_start_method() == "fork"
-needs_fork = pytest.mark.skipif(
-    not FORK, reason="pool-path chaos relies on fork inheritance")
+_RUN_JOB = engine_mod._run_job
 
 
 def _service(**kwargs):
@@ -54,7 +50,6 @@ def _service(**kwargs):
     kwargs.setdefault("config", CONFIG)
     kwargs.setdefault("cache", ResultCache())
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("pool_retry_backoff_s", 0.0)
     return OptimizationService(**kwargs)
 
 
@@ -71,7 +66,6 @@ def _clean_signatures(nets):
 # Killed worker
 # ----------------------------------------------------------------------
 
-@needs_fork
 def test_killed_worker_results_match_the_clean_run(tmp_path):
     nets = _nets()
     clean = _clean_signatures(nets)
@@ -103,7 +97,6 @@ def test_killed_worker_results_match_the_clean_run(tmp_path):
             == stats["counters"][metric.RESILIENCE_POOL_REBUILDS])
 
 
-@needs_fork
 def test_repeated_crashes_fall_back_to_inline_and_still_answer(tmp_path):
     # Every pool attempt dies: after pool_retries rebuilds the service
     # must finish the jobs serially inline rather than failing them.
@@ -191,7 +184,6 @@ def test_injected_write_corruption_never_reaches_a_reader(tmp_path):
 # Hangs and timeouts
 # ----------------------------------------------------------------------
 
-@needs_fork
 def test_hung_worker_surfaces_as_a_resource_timeout():
     plan = FaultPlan(seed=4, specs=(
         FaultSpec(site="service.worker", kind="hang", hang_s=2.0,
@@ -278,26 +270,19 @@ def test_no_plan_no_budget_results_are_untouched():
 
 def _input_poison_runner(job):
     from repro.resilience.errors import MalformedNetError
-    from repro.service import engine as engine_mod
 
     if "poison" in job.net.name:
         raise MalformedNetError("sink #0: load must be non-negative",
                                 stage="net")
-    return engine_mod._run_job(job)
+    return _RUN_JOB(job)
 
 
-def test_optimize_many_reports_structured_records_per_job():
-    from repro.service import engine as engine_mod
-
+def test_optimize_many_reports_structured_records_per_job(monkeypatch):
     good = build_net(3, seed=56, name="fine")
     bad = build_net(3, seed=57, name="poison")
-    original = engine_mod._JOB_RUNNER
-    engine_mod._JOB_RUNNER = _input_poison_runner
-    try:
-        with _service() as service:
-            fine, poisoned = service.optimize_many([good, bad])
-    finally:
-        engine_mod._JOB_RUNNER = original
+    monkeypatch.setattr(engine_mod, "_run_job", _input_poison_runner)
+    with _service() as service:
+        fine, poisoned = service.optimize_many([good, bad])
     assert fine.ok and not fine.degraded
     assert not poisoned.ok
     assert poisoned.error_kind == "MalformedNetError"

@@ -309,7 +309,7 @@ def _optimize_once(service, seed):
 def _response_for_runner(runner, monkeypatch):
     from repro.service import engine as engine_mod
 
-    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", runner)
+    monkeypatch.setattr(engine_mod, "_run_job", runner)
     service = OptimizationService(cache=ResultCache(), **SERVICE_KWARGS)
     return _optimize_once(service, seed=16)
 

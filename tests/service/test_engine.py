@@ -1,24 +1,23 @@
 """OptimizationService: cache semantics, isolation, timeouts, fallback.
 
-Failure injection works by swapping the module-level ``_JOB_RUNNER``
-indirection: the pool entry point resolves it at call time, and worker
-processes inherit the patched value via fork.  The pool-path injection
-tests are skipped on platforms whose default start method is not fork
-(the serial-path twins still run everywhere).
+Failure injection: inline-path (``workers=1``) tests monkeypatch the
+engine's ``_run_job``; pool-path tests arm a ``FaultPlan`` at the
+``service.job`` site, which the pool's initializer installs in every
+worker, so every test runs under any start method.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-
 import pytest
 
+import repro
 from tests.conftest import build_net
 from repro.core.config import MerlinConfig
+from repro.experiments.nets import make_experiment_net
 from repro.instrument import names as metric
 from repro.net import Net, Sink
 from repro.resilience.errors import MerlinInputError
+from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.routing.validate import validate_tree
 from repro.service import OptimizationService, ResultCache
 from repro.service import engine as engine_mod
@@ -26,10 +25,7 @@ from repro.tech.technology import default_technology
 
 TECH = default_technology()
 CONFIG = MerlinConfig.test_preset()
-
-FORK = multiprocessing.get_start_method() == "fork"
-needs_fork = pytest.mark.skipif(
-    not FORK, reason="pool-path injection relies on fork inheritance")
+_RUN_JOB = engine_mod._run_job
 
 
 def _service(**kwargs):
@@ -43,13 +39,31 @@ def _service(**kwargs):
 def _poison_runner(job):
     if "poison" in job.net.name:
         raise RuntimeError("injected failure")
-    return engine_mod._run_job(job)
+    return _RUN_JOB(job)
 
 
-def _slow_runner(job):
-    if "slow" in job.net.name:
-        time.sleep(1.5)
-    return engine_mod._run_job(job)
+def _job_fault(kind, match, **kwargs):
+    """A plan that fires at every ``service.job`` hit of nets whose name
+    contains ``match``."""
+    return use_fault_plan(FaultPlan(specs=(FaultSpec(
+        site="service.job", kind=kind, times=None, match=match,
+        **kwargs),)))
+
+
+def _moved(net, dx, dy, name):
+    """``net`` translated by (dx, dy), with itself and its sinks renamed:
+    a canonical twin of it."""
+    return Net(name=name, source=net.source.translated(dx, dy),
+               sinks=tuple(Sink(f"{name}_s{k}", s.position.translated(dx, dy),
+                                s.load, s.required_time)
+                           for k, s in enumerate(net.sinks)))
+
+
+def _assert_in_own_frame(result, net):
+    assert result.ok
+    assert result.tree.net is net
+    assert result.tree.root.position == net.source
+    validate_tree(result.tree)
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +161,38 @@ def test_duplicate_nets_in_one_batch_hit_within_the_batch():
     assert results[0].signature == results[1].signature
 
 
+def test_twin_answers_in_its_own_frame_after_its_entry_is_evicted():
+    # b's miss evicts a's entry before the twin is answered.
+    a, b = build_net(3, seed=5), build_net(3, seed=6)
+    twin = _moved(a, 500.0, -250.0, "a_twin")
+    with _service(cache=ResultCache(capacity=1)) as service:
+        first, _, answer = service.optimize_many([a, b, twin])
+        stats = service.stats()
+    _assert_in_own_frame(answer, twin)
+    assert answer.cached  # no DP ran for it
+    assert answer.cost == first.cost
+    assert answer.evaluation == first.evaluation
+    assert stats["counters"][metric.SERVICE_JOBS] == 2
+    assert stats["counters"][metric.SERVICE_CACHE_HITS] == 1
+
+
+def test_degraded_twin_answers_in_its_own_frame():
+    net = make_experiment_net("a", 4, 3)
+    twin = _moved(net, 1000.0, 500.0, "twin")
+    with _service(budget_ops=1) as service:
+        first, answer = service.optimize_many([net, twin])
+    _assert_in_own_frame(answer, twin)
+    assert first.degraded and answer.degraded
+    assert not answer.cached  # degraded answers never count as cached
+    assert answer.degradation == first.degradation
+
+
 # ----------------------------------------------------------------------
 # Error isolation and timeouts
 # ----------------------------------------------------------------------
 
 def test_worker_exception_is_isolated_serial(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", _poison_runner)
+    monkeypatch.setattr(engine_mod, "_run_job", _poison_runner)
     nets = [build_net(3, seed=1, name="ok1"),
             build_net(3, seed=2, name="poison"),
             build_net(3, seed=3, name="ok2")]
@@ -165,13 +205,12 @@ def test_worker_exception_is_isolated_serial(monkeypatch):
     assert stats["counters"][metric.SERVICE_ERRORS] == 1
 
 
-@needs_fork
-def test_worker_exception_is_isolated_in_the_pool(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", _poison_runner)
+def test_worker_exception_is_isolated_in_the_pool():
     nets = [build_net(3, seed=1, name="ok1"),
             build_net(3, seed=2, name="poison"),
             build_net(3, seed=3, name="ok2")]
-    with _service(workers=2) as service:
+    with _job_fault("error", "poison", message="injected failure"), \
+            _service(workers=2) as service:
         results = service.optimize_many(nets)
     assert [r.ok for r in results] == [True, False, True]
     assert "injected failure" in results[1].error
@@ -179,12 +218,11 @@ def test_worker_exception_is_isolated_in_the_pool(monkeypatch):
         validate_tree(result.tree)
 
 
-@needs_fork
-def test_job_timeout_does_not_fail_the_batch(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", _slow_runner)
+def test_job_timeout_does_not_fail_the_batch():
     nets = [build_net(3, seed=1, name="slow"),
             build_net(3, seed=2, name="fast")]
-    with _service(workers=2) as service:
+    with _job_fault("hang", "slow", hang_s=1.5), \
+            _service(workers=2) as service:
         results = service.optimize_many(nets, timeout_s=0.25)
         stats = service.stats()
     assert not results[0].ok
@@ -194,14 +232,27 @@ def test_job_timeout_does_not_fail_the_batch(monkeypatch):
 
 
 def test_failed_jobs_are_not_cached(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_JOB_RUNNER", _poison_runner)
+    monkeypatch.setattr(engine_mod, "_run_job", _poison_runner)
     net = build_net(3, seed=2, name="poison")
     with _service() as service:
         first = service.optimize(net)
-        monkeypatch.setattr(engine_mod, "_JOB_RUNNER", engine_mod._run_job)
+        monkeypatch.setattr(engine_mod, "_run_job", _RUN_JOB)
         second = service.optimize(net)
     assert not first.ok
     assert second.ok and not second.cached  # the failure never cached
+
+
+def test_twin_of_a_failed_job_carries_its_error_record(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_run_job", _poison_runner)
+    net = build_net(3, seed=2, name="poison")
+    with _service() as service:
+        first, twin = service.optimize_many(
+            [net, _moved(net, 10.0, 20.0, "twin")])
+        counters = service.stats()["counters"]
+    assert not first.ok and not twin.ok
+    assert twin.error_record == first.error_record
+    assert counters[metric.SERVICE_JOBS] == 1
+    assert counters[metric.SERVICE_ERRORS] == 2
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +268,20 @@ def test_serial_fallback_when_pool_unavailable():
     assert all(r.ok for r in results)
     assert stats["execution_mode"] == "serial"
     assert stats["pool_disabled_reason"] == "forced by test"
+
+
+def test_a_pool_shut_down_under_a_batch_is_rebuilt_and_counted():
+    # As when another thread discards the warm pool between this batch
+    # acquiring it and submitting to it.
+    with _service(workers=2) as service:
+        service.optimize_many([build_net(3, seed=s) for s in (1, 2)])
+        service._pool.shutdown(wait=True)
+        results = service.optimize_many(
+            [build_net(3, seed=s) for s in (3, 4)])
+        counters = service.stats()["counters"]
+    assert all(r.ok for r in results)
+    assert counters[metric.RESILIENCE_POOL_REBUILDS] == 1
+    assert counters[metric.RESILIENCE_JOB_RETRIES] == 2
 
 
 def test_workers_default_comes_from_config():
@@ -244,17 +309,27 @@ def test_bad_limits_fail_the_constructor_not_every_job(kwargs, message):
         _service(**kwargs)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("timeout_s", [0, -1, float("nan")],
+                         ids=["zero", "negative", "nan"])
+def test_a_bad_per_call_timeout_fails_the_call_not_its_jobs(timeout_s,
+                                                           workers):
+    # The per-call timeout gets the constructor's check, before any job
+    # runs: on a pool it would time every job out, inline it was ignored.
+    nets = [build_net(3, seed=s) for s in (1, 2)]
+    with _service(workers=workers) as service:
+        with pytest.raises(MerlinInputError, match="timeout_s must be > 0"):
+            service.optimize_many(nets, timeout_s=timeout_s)
+        with pytest.raises(MerlinInputError, match="timeout_s must be > 0"):
+            repro.optimize(nets[0], service=service, timeout_s=timeout_s)
+        stats = service.stats()
+    assert metric.SERVICE_REQUESTS not in stats["counters"]
+    assert stats["execution_mode"] != "pool"
+
+
 def test_close_is_idempotent():
     service = _service(workers=2)
     service.optimize(build_net(3, seed=1))
     service.close()
     service.close()
 
-
-def test_one_shot_optimize_many_helper():
-    from repro.service import optimize_many
-
-    nets = [build_net(3, seed=s, name=f"n{s}") for s in (1, 2)]
-    results = optimize_many(nets, tech=TECH, config=CONFIG, workers=2)
-    assert [r.net_name for r in results] == ["n1", "n2"]
-    assert all(r.ok for r in results)

@@ -147,22 +147,18 @@ def test_service_path_rejects_conflicting_arguments():
             repro.optimize(net, service=service, multi_start=2)
 
 
-def test_service_path_surfaces_failures():
+def test_service_path_surfaces_failures(monkeypatch):
     from repro.service import engine as engine_mod
 
     def _boom(job):
         raise RuntimeError("injected")
 
     net = build_net(3, seed=28)
+    monkeypatch.setattr(engine_mod, "_run_job", _boom)
     with OptimizationService(tech=TECH, config=CONFIG,
                              cache=ResultCache(), workers=1) as service:
-        original = engine_mod._JOB_RUNNER
-        engine_mod._JOB_RUNNER = _boom
-        try:
-            with pytest.raises(RuntimeError, match="failed"):
-                repro.optimize(net, service=service)
-        finally:
-            engine_mod._JOB_RUNNER = original
+        with pytest.raises(RuntimeError, match="failed"):
+            repro.optimize(net, service=service)
 
 
 # ----------------------------------------------------------------------
