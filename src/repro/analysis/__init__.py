@@ -13,10 +13,6 @@ from repro.analysis.metrics import (
     stage_depths,
 )
 from repro.analysis.curve_stats import CurveStats, curve_stats
-from repro.analysis.instrument_summary import (
-    derived_metrics,
-    summarize_report,
-)
 
 __all__ = [
     "TreeMetrics",
@@ -25,6 +21,4 @@ __all__ = [
     "stage_depths",
     "CurveStats",
     "curve_stats",
-    "derived_metrics",
-    "summarize_report",
 ]

@@ -106,7 +106,6 @@ def run_flow(flow: str, net: Net, tech: Technology,
 
     runtime = time.perf_counter() - start
     if rec.enabled:
-        rec.record(metric.FLOW_RUNTIME_S, runtime)
         rec.record(metric.flow_runtime(flow), runtime)
     validate_tree(tree)
     evaluation = evaluate_tree(tree, tech)

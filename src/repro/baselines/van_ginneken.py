@@ -28,8 +28,6 @@ from repro.curves.ops import (
 )
 from repro.curves.solution import DriverArm, Solution, sink_leaf_solution
 from repro.geometry.point import Point
-from repro.instrument import names as metric
-from repro.instrument.recorder import active_recorder
 from repro.routing.builder import build_tree
 from repro.routing.tree import (
     BufferNode,
@@ -156,7 +154,6 @@ class _Inserter:
 
     def _hop(self, solutions: List[Solution], point: Point) -> List[Solution]:
         """Extend to ``point`` and offer each buffer there; prune."""
-        active_recorder().incr(metric.VG_HOPS)
         curve = SolutionCurve(point, self.config.curve)
         for solution in solutions:
             moved = extend_solution(solution, point, self.tech)

@@ -323,8 +323,6 @@ class _Engine:
                     continue
                 result = self._route_level(plan, child)
                 contributed = True
-                if rec.enabled and child.e != 0:
-                    rec.incr(metric.BUBBLE_NEIGHBORHOOD_HITS)
                 for curve, solutions in zip(curves, result):
                     curve.extend(solutions)
         if not contributed:

@@ -107,7 +107,6 @@ def merlin(net: Net, tech: Technology,
                 best_cost = cost
             if rec.enabled:
                 rec.incr(metric.MERLIN_ITERATIONS)
-                rec.record(metric.MERLIN_ITERATION_COST, cost)
                 rec.event(metric.EVENT_MERLIN_ITERATION,
                           index=iterations, cost=cost,
                           order=list(order.seq),
@@ -125,11 +124,6 @@ def merlin(net: Net, tech: Technology,
             order = result.order_out
 
         assert best is not None  # the loop always runs at least once
-        if rec.enabled:
-            rec.event(metric.EVENT_MERLIN_RESULT,
-                      net=net.name, sinks=len(net),
-                      iterations=iterations, converged=converged,
-                      best_cost=best_cost)
     return MerlinResult(
         tree=best.tree,
         best=best,

@@ -91,7 +91,7 @@ class PTreeContext:
             _affine_params(b, tech) for b in buffers
         ]
         #: Preprocessed buffer library (affine params, quantized cap
-        #: keys, Li & Shi shadow table).
+        #: keys).
         self.library = contract.KernelLibrary(self.buffer_params,
                                               curve_config)
         k = len(self.candidates)
@@ -304,9 +304,7 @@ class PTreeContext:
         rec.incr(metric.PTREE_BUFFER_OFFERS,
                  len(solutions) * len(self.buffer_params))
         with rec.span(metric.SPAN_KERNEL_BUFFER):
-            skipped = self.kernel.add_buffer(curve, self.library, solutions)
-        if skipped:
-            rec.incr(metric.PTREE_BUFFER_SHADOW_SKIPS, skipped)
+            self.kernel.add_buffer(curve, self.library, solutions)
 
     def _relocate(self, curves: List[SolutionCurve],
                   active: Optional[List[int]] = None) -> None:
@@ -321,7 +319,6 @@ class PTreeContext:
         kernel = self.kernel
         library = self.library
         for _ in range(self.relocation_rounds):
-            rec.incr(metric.PTREE_RELOCATE_PASSES)
             if rec.enabled:
                 with rec.span(metric.SPAN_KERNEL_RELOCATE):
                     changed = kernel.relocate_round(curves, targets, self,

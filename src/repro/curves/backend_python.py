@@ -5,18 +5,13 @@ The dependency-free reference backend.  Live curves are
 :class:`~repro.curves.solution.Solution` objects), frozen blocks are
 plain solution lists, and every operation is the direct scalar loop —
 candidate attribute triples are computed arithmetically and a Solution
-is constructed only after :meth:`SolutionCurve.accept_key` admits the
-triple.  The Li & Shi shadow table (see
-:class:`repro.curves.contract.KernelLibrary`) additionally skips buffer
-offers an earlier same-bucket offer already proved rejectable, before
-any key is built.
+is constructed only after the bucket map admits the triple.
 
 These loops were the bodies of ``PTreeContext.join_into`` /
 ``_buffer_all`` / ``_relocate`` before the kernel boundary existed;
-they moved here verbatim (plus the shadow skips) so the engine layer is
-backend-blind.  The deferred (``"numpy"``) backend must match this one
-bit-for-bit — the golden suites and ``bench check_suite`` hold both to
-it.
+they moved here verbatim so the engine layer is backend-blind.  The
+deferred (``"numpy"``) backend must match this one bit-for-bit — the
+golden suites and ``bench check_suite`` hold both to it.
 """
 
 from __future__ import annotations
@@ -53,68 +48,25 @@ class PythonKernel(CurveKernel):
                                             Join(a, b)))
 
     def add_buffer(self, curve: SolutionCurve, library: KernelLibrary,
-                   sources=None) -> int:
+                   sources=None) -> None:
         if sources is None:
             sources = list(curve)
-        buffer_params = library.params
-        if not buffer_params:
-            return 0
-        cap_keys = library.cap_keys
         add_keyed = curve.add_keyed
         root = curve.root
         inv_area = curve._inv_area
-        if not library.has_shadows:
-            # No two buffers share a load bucket — the shadow skip can
-            # never fire, so run the lean loop without its bookkeeping.
-            pairs = list(zip(cap_keys, buffer_params))
-            for s in sources:
-                load = s.load
-                req = s.required_time
-                area = s.area
-                for ck, (buffer, input_cap, buf_area, d0, slope) in pairs:
-                    new_req = req - d0 - slope * load
-                    new_area = area + buf_area
-                    key = (ck, round(new_area * inv_area))
-                    incumbent = curve._by_bucket.get(key)
-                    if incumbent is None \
-                            or incumbent.required_time < new_req:
-                        add_keyed(key, Solution(
-                            root, input_cap, new_req, new_area,
-                            Buffered(s, buffer)))
-            return 0
-        shadows = library.shadows
-        m = len(buffer_params)
-        reqs_j = [0.0] * m
-        akeys_j = [0] * m
-        skipped = 0
+        pairs = list(zip(library.cap_keys, library.params))
         for s in sources:
             load = s.load
             req = s.required_time
             area = s.area
-            for bj, (buffer, input_cap, buf_area, d0,
-                     slope) in enumerate(buffer_params):
+            for ck, (buffer, input_cap, buf_area, d0, slope) in pairs:
                 new_req = req - d0 - slope * load
                 new_area = area + buf_area
-                akey = round(new_area * inv_area)
-                reqs_j[bj] = new_req
-                akeys_j[bj] = akey
-                hit = False
-                for pi in shadows[bj]:
-                    if akeys_j[pi] == akey and reqs_j[pi] >= new_req:
-                        hit = True
-                        break
-                if hit:
-                    # An earlier offer landed the same bucket with a
-                    # required time >= this one, so the bucket incumbent
-                    # already does — the map would reject this offer.
-                    skipped += 1
-                    continue
-                key = (cap_keys[bj], akey)
+                key = (ck, round(new_area * inv_area))
                 incumbent = curve._by_bucket.get(key)
                 if incumbent is None or incumbent.required_time < new_req:
                     add_keyed(key, Solution(root, input_cap, new_req,
                                             new_area, Buffered(s, buffer)))
-        return skipped
 
     def relocate_round(self, curves: Sequence[SolutionCurve],
                        targets: Sequence[int], geom,

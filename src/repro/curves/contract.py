@@ -36,16 +36,10 @@ pin equal tree signatures.  Engine layers (``core``, ``routing``,
 ``LAY-KERNEL`` staticcheck rule enforces this).
 
 The contract also owns :class:`KernelLibrary`, the per-net buffer
-library preprocessing shared by both backends — notably the Li & Shi
-predecessor ("shadow") table: for each buffer ``j``, the earlier
-library buffers whose quantized input capacitance lands in the same
-load bucket.  When such a predecessor's offer (for the same source)
-achieved the same area bucket with a required time at least as high,
-offer ``j`` maps to the same curve cell with a value the bucket map
-would reject — so the python kernel skips it before any key is built.
-The skip condition compares *computed* candidate attributes, never
-re-derived real-arithmetic bounds, so it is exact under floating point
-and cannot perturb results; the compiled kernel makes every offer.
+library preprocessing shared by both backends: the affine per-buffer
+parameters and their quantized load-bucket keys.  Both kernels offer
+every buffer at every source and let the bucket map keep the best
+offer per cell.
 """
 
 from __future__ import annotations
@@ -87,15 +81,11 @@ class KernelLibrary:
     """Preprocessed buffer library shared by every kernel operation.
 
     ``params`` keeps the affine per-buffer tuples; ``cap_keys`` their
-    quantized input-capacitance (load) bucket halves; ``shadows[j]`` the
-    indices of earlier buffers with the *same* load bucket — the only
-    predecessors whose offers can collide with buffer ``j``'s in the
-    bucket map, and therefore the only ones the Li & Shi skip must
-    consult.  With typical libraries and quantization steps most shadow
-    lists are empty and the skip costs one truthiness test per offer.
+    quantized input-capacitance (load) bucket halves, which are the
+    load half of every buffer offer's bucket key.
     """
 
-    __slots__ = ("params", "cap_keys", "shadows", "has_shadows")
+    __slots__ = ("params", "cap_keys")
 
     def __init__(self, buffer_params: Sequence[BufferParams],
                  curve_config: CurveConfig):
@@ -103,16 +93,6 @@ class KernelLibrary:
         inv_load = 1.0 / curve_config.load_step
         self.cap_keys: List[int] = [round(p[1] * inv_load)
                                     for p in self.params]
-        by_key: Dict[int, List[int]] = {}
-        shadows: List[Tuple[int, ...]] = []
-        for j, key in enumerate(self.cap_keys):
-            earlier = by_key.setdefault(key, [])
-            shadows.append(tuple(earlier))
-            earlier.append(j)
-        self.shadows: List[Tuple[int, ...]] = shadows
-        #: False when no two buffers share a load bucket — the skip can
-        #: never fire, so hot loops drop its bookkeeping entirely.
-        self.has_shadows: bool = any(shadows)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -140,12 +120,11 @@ class CurveKernel:
         raise NotImplementedError
 
     def add_buffer(self, curve, library: KernelLibrary,
-                   sources=None) -> int:
+                   sources=None) -> None:
         """Offer every library buffer at the root of each source.
 
         ``sources=None`` buffers the curve's own current contents (the
-        caller must have pruned first).  Returns the number of offers
-        skipped by the shadow table (0 when it never fired).
+        caller must have pruned first).
         """
         raise NotImplementedError
 

@@ -53,9 +53,6 @@ approximate — equivalence:
   bucket map: sorting on ``(load, area)`` alone is the reference's
   ``(load, area, -required_time)`` order, and every survivor keeps
   the key it was stored under.
-* The Li & Shi shadow skip (see :mod:`repro.curves.contract`) is not
-  needed: it only drops offers the bucket map would reject, so the
-  compiled buffer offer makes every offer and reports no skips.
 """
 
 from __future__ import annotations
@@ -288,10 +285,9 @@ class DeferredKernel(CurveKernel):
         _deferred.join(curve, lefts, rights)
 
     def add_buffer(self, curve: PendingCurve, library: KernelLibrary,
-                   sources=None) -> int:
+                   sources=None) -> None:
         _deferred.add_buffer(curve, curve if sources is None else sources,
                              library.params, library.cap_keys)
-        return 0
 
     def relocate_round(self, curves: Sequence[PendingCurve],
                        targets: Sequence[int], geom,

@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.curves.solution import Buffered, Extend, Join, Solution
 from repro.geometry.point import Point
-from repro.instrument import names as metric
-from repro.instrument.recorder import active_recorder
 from repro.tech.buffer import Buffer
 from repro.tech.technology import Technology
 
@@ -38,7 +36,6 @@ def extend_solution(solution: Solution, new_root: Point,
     """
     if width <= 0:
         raise ValueError("wire width must be positive")
-    active_recorder().incr(metric.OPS_EXTEND)
     length = solution.root.manhattan_to(new_root)
     if length == 0:
         return solution
@@ -70,7 +67,6 @@ def join_solutions(left: Solution, right: Solution) -> Solution:
     if left.root != right.root:
         raise ValueError(
             f"cannot join solutions rooted at {left.root} and {right.root}")
-    active_recorder().incr(metric.OPS_JOIN)
     return Solution(
         root=left.root,
         load=left.load + right.load,
@@ -97,7 +93,6 @@ def buffer_solution(solution: Solution, buffer: Buffer,
     decoupling is exactly why buffer insertion helps — at the cost of the
     buffer's delay and area.
     """
-    active_recorder().incr(metric.OPS_BUFFER)
     return Solution(
         root=solution.root,
         load=buffer.input_cap,

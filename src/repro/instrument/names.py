@@ -1,10 +1,12 @@
 """Stable metric names emitted by the instrumented engine.
 
 These constants are the *interface contract* of the instrumentation
-layer: downstream tooling (the ``--stats`` CLI report, the
-``repro.analysis.instrument_summary`` helper, and any perf dashboards
-built on recorded runs) keys on these exact strings, so renaming one is
-a breaking change and must be treated like renaming a public function.
+layer: the ``net --stats`` report, the ``/v1/stats`` counters and the
+repository benchmark's layer metrics key on these exact strings, so
+renaming one is a breaking change and must be treated like renaming a
+public function.  Every catalogued metric has a reader in the program,
+its tests or the benchmark (the ``REG-DEAD-METRIC`` staticcheck rule
+holds it to that); a metric nothing reads is deleted, not kept.
 
 Naming scheme: ``<subsystem>.<thing>[.<aspect>]``, all lowercase, dots as
 separators.  Timing spans use bare subsystem names; nested spans are
@@ -27,9 +29,6 @@ BUBBLE_LEVELS = "bubble.levels"
 BUBBLE_RANGES = "bubble.ranges"
 #: Range-memo hits — the Lemma 7 sharing actually realized.
 BUBBLE_RANGE_MEMO_HITS = "bubble.range_memo_hits"
-#: Child groups with a non-trivial grouping structure (e != 0) that
-#: contributed solutions — how often the bubbling neighborhood pays off.
-BUBBLE_NEIGHBORHOOD_HITS = "bubble.neighborhood_hits"
 
 #: *PTREE join invocations (one per split point per range).
 PTREE_JOIN_CALLS = "ptree.join.calls"
@@ -37,13 +36,8 @@ PTREE_JOIN_CALLS = "ptree.join.calls"
 PTREE_JOIN_PAIRS = "ptree.join.pairs"
 #: Buffer options offered at range roots (per ``_buffer_all`` call site).
 PTREE_BUFFER_OFFERS = "ptree.buffer.offers"
-#: Root-relocation relaxation passes executed.
-PTREE_RELOCATE_PASSES = "ptree.relocate.passes"
 #: Sink base curves built (cache misses; hits stay silent).
 PTREE_BASE_CURVES = "ptree.base_curves"
-#: Buffer offers skipped by the Li & Shi predecessor (shadow) table —
-#: candidates provably rejected by the bucket map without computing keys.
-PTREE_BUFFER_SHADOW_SKIPS = "ptree.buffer.shadow_skips"
 
 #: Γ-table cells reused across MERLIN iterations via the content-keyed
 #: group memo (leaf fingerprints unchanged → prior slice reused).
@@ -53,14 +47,6 @@ BUBBLE_GAMMA_MEMO_HITS = "bubble.gamma_memo_hits"
 CURVE_PRUNE_CALLS = "curve.prune.calls"
 #: Solutions discarded by those prunes (dominated or over-cap).
 CURVE_PRUNE_REMOVED = "curve.prune.removed"
-
-#: repro.curves.ops combinator invocations (the non-hot convenience API).
-OPS_EXTEND = "curve.ops.extend"
-OPS_JOIN = "curve.ops.join"
-OPS_BUFFER = "curve.ops.buffer"
-
-#: van Ginneken buffer-insertion candidate sites visited (hops).
-VG_HOPS = "vg.hops"
 
 #: Optimization-service requests served (HTTP and library entry points).
 SERVICE_REQUESTS = "service.requests"
@@ -88,18 +74,8 @@ SERVE_DRAIN_REFUSALS = "serve.drain.refusals"
 PIPELINE_ITERATIONS = "pipeline.iterations"
 #: Nets (re-)optimized by the closure pipeline, summed over iterations.
 PIPELINE_NETS_REOPTIMIZED = "pipeline.nets.reoptimized"
-#: Closure jobs answered from the canonical-net cache.
-PIPELINE_CACHE_HITS = "pipeline.cache.hits"
-#: Closure jobs answered by a degradation-ladder fallback.
-PIPELINE_NETS_DEGRADED = "pipeline.nets.degraded"
-#: Closure jobs that failed outright (net kept its star estimate).
-PIPELINE_NETS_FAILED = "pipeline.nets.failed"
 #: Iterations whose re-timing got *worse* and were rolled back.
 PIPELINE_ROLLBACKS = "pipeline.rollbacks"
-#: Records appended to the write-ahead closure journal (header included).
-PIPELINE_JOURNAL_RECORDS = "pipeline.journal.records"
-#: Completed iterations restored from a journal by ``--resume``.
-PIPELINE_JOURNAL_REPLAYED = "pipeline.journal.replayed"
 #: Torn/corrupt final journal lines discarded by the reader.
 PIPELINE_JOURNAL_TORN = "pipeline.journal.torn"
 
@@ -123,8 +99,6 @@ RESILIENCE_BUDGET_EXHAUSTED = "resilience.budget.exhausted"
 
 # -- series (value distributions) --------------------------------------
 
-#: Objective cost after each MERLIN iteration.
-MERLIN_ITERATION_COST = "merlin.iteration.cost"
 #: Curve sizes summed over candidates for one parent Γ cell, pre-prune.
 BUBBLE_CURVE_SIZE_PRE = "bubble.curve_size_pre"
 #: Same cell, post-prune.
@@ -133,8 +107,6 @@ BUBBLE_CURVE_SIZE_POST = "bubble.curve_size_post"
 BUBBLE_PRUNE_RATIO = "bubble.prune_ratio"
 #: Per-prune survivor ratio (kept/before) across every curve prune.
 CURVE_PRUNE_SURVIVOR_RATIO = "curve.prune.survivor_ratio"
-#: Wall-clock seconds of one flow run (per flow, see ``flow_runtime``).
-FLOW_RUNTIME_S = "flow.runtime_s"
 #: End-to-end latency (s) of one service request (cache hits included).
 SERVICE_REQUEST_LATENCY_S = "service.request.latency_s"
 #: End-to-end latency (s) of one async-front-end request.
@@ -143,10 +115,6 @@ SERVE_REQUEST_LATENCY_S = "serve.request.latency_s"
 SERVE_QUEUE_DEPTH = "serve.queue.depth"
 #: Engine wall-clock (s) of one service job (cache misses only).
 SERVICE_JOB_LATENCY_S = "service.job.latency_s"
-#: STA critical delay (ps) after each closure-pipeline iteration.
-PIPELINE_ITERATION_DELAY_PS = "pipeline.iteration.delay_ps"
-#: Wall-clock seconds of one closure-pipeline iteration.
-PIPELINE_ITERATION_WALL_S = "pipeline.iteration.wall_s"
 
 
 def service_endpoint_requests(endpoint: str) -> str:
@@ -181,9 +149,6 @@ def flow_runtime(flow: str) -> str:
 #: One record per MERLIN outer-loop iteration
 #: (fields: index, cost, order, improved).
 EVENT_MERLIN_ITERATION = "merlin.iteration"
-#: One record per MERLIN run
-#: (fields: net, sinks, iterations, converged, best_cost).
-EVENT_MERLIN_RESULT = "merlin.result"
 #: One record per degraded answer
 #: (fields: net, rung, reason, attempts).
 EVENT_DEGRADATION = "resilience.degradation"

@@ -217,23 +217,6 @@ class Recorder:
                        for k, v in self.events.items()},
         }
 
-    @classmethod
-    def from_report(cls, report: Dict[str, Any]) -> "Recorder":
-        """Rebuild a recorder from :meth:`report` output (round-trip)."""
-        version = report.get("version")
-        if version != REPORT_VERSION:
-            raise ValueError(f"unsupported report version: {version!r}")
-        rec = cls()
-        rec.counters = {str(k): int(v)
-                        for k, v in report.get("counters", {}).items()}
-        rec.series = {str(k): SeriesStats.from_dict(v)
-                      for k, v in report.get("series", {}).items()}
-        rec.spans = {str(k): SpanStats.from_dict(v)
-                     for k, v in report.get("spans", {}).items()}
-        rec.events = {str(k): [dict(e) for e in v]
-                      for k, v in report.get("events", {}).items()}
-        return rec
-
 
 # ----------------------------------------------------------------------
 # The process-wide active recorder

@@ -2,14 +2,15 @@
 
 A *report* is the plain-dict snapshot produced by
 :meth:`repro.instrument.Recorder.report`; this module owns its JSON
-framing so every producer (the ``--stats`` CLI flag, test fixtures) and
-consumer (``repro.analysis.instrument_summary``) agrees on one format.
+framing and the deterministic merge of per-worker reports, so the
+``net --stats`` CLI flag and the :mod:`repro.parallel` drivers emit one
+format.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Union
+from typing import Any, Dict, Iterable
 
 from repro.instrument.recorder import (
     REPORT_VERSION,
@@ -100,12 +101,3 @@ def merge_reports(reports: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             merged.events.setdefault(str(name), []).extend(
                 dict(e) for e in events)
     return merged.report()
-
-
-def coerce_recorder(source: Union[Recorder, Dict[str, Any], str]) -> Recorder:
-    """Accept a recorder, a report dict, or a JSON string; return a Recorder."""
-    if isinstance(source, Recorder):
-        return source
-    if isinstance(source, str):
-        source = report_from_json(source)
-    return Recorder.from_report(source)

@@ -285,9 +285,8 @@ def _run(netlist: Netlist, service: Any, closure: ClosureConfig,
     if journal_path is not None:
         header = _journal_header(netlist, service, closure, policy,
                                  estimate.critical_delay, target)
-        journal_rec = rec if rec.enabled else None
         if resume:
-            replay = read_journal(journal_path, journal_rec)
+            replay = read_journal(journal_path, rec)
             _check_journal_header(journal_path, replay.header, header)
             if replay.records:
                 state = replay.records[-1]["state"]
@@ -309,14 +308,9 @@ def _run(netlist: Netlist, service: Any, closure: ClosureConfig,
                                   for record in replay.records)
                 start_index = replay.last_index + 1
                 converged = replay.stopped
-                if rec.enabled:
-                    rec.incr(metric.PIPELINE_JOURNAL_REPLAYED,
-                             len(replay.records))
-            journal = ClosureJournal.resume(journal_path, replay,
-                                            journal_rec)
+            journal = ClosureJournal.resume(journal_path, replay)
         else:
-            journal = ClosureJournal.create(journal_path, header,
-                                            journal_rec)
+            journal = ClosureJournal.create(journal_path, header)
 
     try:
         if not converged:
@@ -455,12 +449,6 @@ def _iterate(netlist: Netlist, service: Any, closure: ClosureConfig,
         if rec.enabled:
             rec.incr(metric.PIPELINE_ITERATIONS)
             rec.incr(metric.PIPELINE_NETS_REOPTIMIZED, reoptimized)
-            rec.incr(metric.PIPELINE_CACHE_HITS, cache_hits)
-            rec.incr(metric.PIPELINE_NETS_DEGRADED, len(round_degraded))
-            rec.incr(metric.PIPELINE_NETS_FAILED, len(round_failed))
-            rec.record(metric.PIPELINE_ITERATION_DELAY_PS,
-                       sta.critical_delay)
-            rec.record(metric.PIPELINE_ITERATION_WALL_S, report.wall_s)
             rec.event(metric.EVENT_CLOSURE_ITERATION,
                       index=index, policy=policy.name,
                       candidates=len(candidates),

@@ -196,16 +196,13 @@ class ClosureJournal:
     valid record so new appends extend clean state.
     """
 
-    def __init__(self, path: str, handle: Any,
-                 recorder: Optional[Recorder] = None) -> None:
+    def __init__(self, path: str, handle: Any) -> None:
         self.path = path
         self._handle = handle
-        self._rec = recorder or NULL_RECORDER
 
     @classmethod
-    def create(cls, path: str, header: Dict[str, Any],
-               recorder: Optional[Recorder] = None) -> "ClosureJournal":
-        journal = cls(path, open(path, "wb"), recorder)
+    def create(cls, path: str, header: Dict[str, Any]) -> "ClosureJournal":
+        journal = cls(path, open(path, "wb"))
         record = dict(header)
         record["type"] = RECORD_HEADER
         record["version"] = JOURNAL_VERSION
@@ -213,12 +210,11 @@ class ClosureJournal:
         return journal
 
     @classmethod
-    def resume(cls, path: str, replay: JournalReplay,
-               recorder: Optional[Recorder] = None) -> "ClosureJournal":
+    def resume(cls, path: str, replay: JournalReplay) -> "ClosureJournal":
         handle = open(path, "r+b")
         handle.truncate(replay.valid_bytes)
         handle.seek(replay.valid_bytes)
-        return cls(path, handle, recorder)
+        return cls(path, handle)
 
     def append_iteration(self, index: int, state: Dict[str, Any],
                          report: Dict[str, Any], stop: bool) -> None:
@@ -237,7 +233,6 @@ class ClosureJournal:
         self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self._rec.incr(metric.PIPELINE_JOURNAL_RECORDS)
 
     def close(self) -> None:
         if self._handle is not None:

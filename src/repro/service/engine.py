@@ -62,8 +62,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from threading import Lock
@@ -503,19 +502,23 @@ class OptimizationService:
                 futures = []
             collected = 0
             for key, future in zip(pending, futures):
-                try:
-                    outcome: _Outcome = future.result(timeout=timeout_s)
-                except FutureTimeoutError:
+                # Wait, then read the finished future: a job's own
+                # TimeoutError, re-raised by result(), is the same class
+                # as the futures timeout (Python >= 3.11).
+                if wait((future,), timeout=timeout_s).not_done:
                     future.cancel()
                     self._record(metric.SERVICE_JOB_TIMEOUTS)
                     self._record(metric.SERVICE_ERRORS)
-                    outcome = JobTimeoutError(
+                    outcome: _Outcome = JobTimeoutError(
                         f"job timed out after {timeout_s}s "
                         f"(worker still draining)", stage="pool").record
-                except BrokenProcessPool:  # a worker died: rebuild below
-                    break
-                except Exception as exc:
-                    outcome = self._job_failed(exc)
+                else:
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool:  # a worker died: rebuild
+                        break
+                    except Exception as exc:
+                        outcome = self._job_failed(exc)
                 collected += 1
                 yield key, outcome
             pending = pending[collected:]

@@ -9,10 +9,10 @@ Two families of guarantees:
   live curves' own ``extend`` and ``prune``) must equal a
   solution-object reference path written directly
   against :class:`~repro.curves.curve.SolutionCurve` (no kernels
-  involved), on random curves.  The reference here is deliberately naive — the point
-  is that neither the deferred entries nor the shadow-table skips
-  may change a single surviving solution, its attributes, or its
-  traceback topology.
+  involved), on random curves.  The reference here is deliberately
+  naive — the point is that the deferred entries may not change a
+  single surviving solution, its attributes, or its traceback
+  topology.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def _random_solutions(rng, n, span=30, root=P):
 
 def _buffer_params(n=6):
     """Affine (buffer, input_cap, area, d0, slope) tuples from the
-    default library — including repeated-cap cells so the shadow table
-    is non-trivial when quantization is coarse."""
+    default library — including repeated-cap cells, so coarse
+    quantization puts several buffers in one load bucket."""
     tech = default_technology()
     bufs = list(tech.buffers)[:n]
     return [(b, b.input_cap, b.area, b.intrinsic_delay, b.drive_resistance)
@@ -115,21 +115,6 @@ def test_kernel_contract_is_the_six_engine_operations():
            if callable(value) and not name.startswith("_")}
     assert ops == {"new_curve", "join", "add_buffer", "relocate_round",
                    "freeze", "thaw"}
-
-
-def test_library_shadow_table_marks_same_bucket_predecessors():
-    params = _buffer_params(6)
-    coarse = CurveConfig(load_step=1e9)  # every cap lands in bucket 0
-    lib = contract.KernelLibrary(params, coarse)
-    assert lib.has_shadows
-    assert lib.shadows[0] == ()
-    assert all(lib.shadows[j] == tuple(range(j))
-               for j in range(len(params)))
-
-    fine = CurveConfig(load_step=1e-6)  # every cap in its own bucket
-    lib = contract.KernelLibrary(params, fine)
-    assert not lib.has_shadows
-    assert all(s == () for s in lib.shadows)
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +228,8 @@ def test_block_pipeline_matches_solution_reference(backend, seed):
     Solution-object path.
 
     Sizes are drawn from a handful to hundreds of entries, and the
-    coarse load step makes several buffers share a load bucket,
-    so the Li & Shi shadow skip actually fires on at least one seed.
+    coarse load step makes several buffers share a load bucket, so
+    their offers compete for the same cells.
     The relocation round runs between the joined curve at P and a
     sibling curve at Q, whose blocks are frozen with one shared memo.
     """
@@ -310,17 +295,14 @@ def _relocated_blocks(backend, load_step, seed) -> list:
     return [kernel.freeze(curve, memo) for curve in curves]
 
 
-# load_step=500 puts every buffer in one load bucket (a shadowed
-# library); 0.05 gives every buffer its own.
+# load_step=500 puts every buffer in one load bucket; 0.05 gives every
+# buffer its own.
 @pytest.mark.parametrize("load_step", [0.05, 500.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_relocate_round_matches_python_over_many_targets(load_step, seed):
     """Each source snapshot feeds three or four targets and both wire
     widths, so offer keys computed once per round are reused across
     targets; the frozen blocks must equal the python backend's."""
-    library = contract.KernelLibrary(
-        _buffer_params(), CurveConfig(load_step=load_step))
-    assert library.has_shadows == (load_step == 500.0)
     got = _relocated_blocks("numpy", load_step, seed)
     want = _relocated_blocks("python", load_step, seed)
     assert [_sigs(block) for block in got] == \
@@ -438,10 +420,10 @@ def test_thaw_round_trips_the_live_curve(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_shadow_skip_never_changes_the_curve(backend):
-    """With a huge load step every buffer shares one load bucket — the
-    adversarial case for the predecessor skip.  The surviving curve must
-    equal the no-shadow reference exactly."""
+def test_add_buffer_matches_reference_with_one_load_bucket(backend):
+    """With a huge load step every buffer shares one load bucket, so all
+    of a source's offers compete for the same cells.  The surviving
+    curve must equal the solution-object reference exactly."""
     rng = random.Random(17)
     config = CurveConfig(load_step=500.0, area_step=3.0, max_solutions=24,
                          backend=backend)
@@ -450,7 +432,7 @@ def test_shadow_skip_never_changes_the_curve(backend):
 
     kernel = contract.get_kernel(backend)
     library = contract.KernelLibrary(params, config)
-    assert library.has_shadows
+    assert len(set(library.cap_keys)) == 1
     curve = kernel.new_curve(P, config)
     for s in sources:
         curve.add(s)

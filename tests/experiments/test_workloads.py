@@ -23,6 +23,12 @@ class TestTable1Nets:
     def test_quick_subset(self):
         assert len(table1_nets(quick=True)) == 6
 
+    def test_quick_nets_are_the_full_suites_nets(self):
+        full = table1_nets()
+        for k, item in enumerate(table1_nets(quick=True)):
+            assert item.name == full[3 * k].name
+            assert item.net == full[3 * k].net
+
     def test_sink_counts_scale_with_paper(self):
         """Scaled counts preserve the paper's size ordering (roughly)."""
         specs = list(TABLE1_NET_SPECS)

@@ -101,18 +101,6 @@ class TestFifteenSinkReport:
             assert counters[name] > 0, name
         assert counters[metric.PTREE_BASE_CURVES] == 15
 
-    def test_summary_renders(self, recorded_run):
-        from repro.analysis import derived_metrics, summarize_report
-
-        _, rec, _ = recorded_run
-        text = summarize_report(rec.report())
-        assert "Timing spans" in text
-        assert "bubble_construct" in text
-        assert "MERLIN iterations" in text
-        derived = derived_metrics(rec)
-        assert 0.0 <= derived["memo_hit_rate"] <= 1.0
-        assert 0.0 < derived["ptree_time_fraction"] <= 1.0
-
 
 class TestDisabledIsFree:
     def test_results_identical_with_and_without_recorder(self):

@@ -146,6 +146,17 @@ def test_probes_bypass_admission_and_stats_reports_the_tier(server):
     assert stats["queue_limit"] > 0
 
 
+def test_stats_counts_every_admitted_optimize_request(server):
+    # API.md shows serve.admitted among the /v1/stats counters; the
+    # probes (healthz, stats) bypass admission and must not count.
+    client = _no_retry_client(server)
+    for seed in (41, 42, 41):
+        assert client.optimize(build_net(2, seed=seed))["ok"]
+        assert client.healthz()
+        client.stats()
+    assert client.stats()["counters"]["serve.admitted"] == 3
+
+
 def test_stats_reports_the_one_service_as_a_one_entry_shards_list(server):
     # perfbench's serve workload reads shard_count and shards[0]
     # ["workers"] on every run, and sums each entry's counters, latency

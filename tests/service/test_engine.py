@@ -3,10 +3,14 @@
 Failure injection: inline-path (``workers=1``) tests monkeypatch the
 engine's ``_run_job``; pool-path tests arm a ``FaultPlan`` at the
 ``service.job`` site, which the pool's initializer installs in every
-worker, so every test runs under any start method.
+worker, so every test runs under any start method.  One pool-path test
+swaps in a stand-in pool whose futures have already failed, which
+starts no process at all.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import Future
 
 import pytest
 
@@ -229,6 +233,35 @@ def test_job_timeout_does_not_fail_the_batch():
     assert "timed out" in results[0].error
     assert results[1].ok
     assert stats["counters"][metric.SERVICE_JOB_TIMEOUTS] == 1
+
+
+class _RaisedPool:
+    """A stand-in pool: every submitted job has already raised ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(self.exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_a_jobs_own_timeout_error_is_a_job_failure_in_the_pool():
+    # Classified as on the inline path, not as a pool timeout.
+    nets = [build_net(3, seed=1, name="a"), build_net(3, seed=2, name="b")]
+    with _service(workers=2) as service:
+        service._pool = _RaisedPool(TimeoutError("upstream read timed out"))
+        results = service.optimize_many(nets)
+        counters = service.stats()["counters"]
+    assert [(r.ok, r.error_kind, r.error_stage) for r in results] == \
+        [(False, "TimeoutError", "engine")] * 2
+    assert "upstream read timed out" in results[0].error
+    assert counters[metric.SERVICE_JOB_FAILURES] == 2
+    assert metric.SERVICE_JOB_TIMEOUTS not in counters
 
 
 def test_failed_jobs_are_not_cached(monkeypatch):

@@ -1,8 +1,9 @@
 """Meta: the analyzer must pass on the shipped tree, via the real CLI.
 
 The whole tree is analyzed twice per module: once as text over
-``src/repro`` and once as the CI invocation (JSON over ``src/repro``
-and ``tests`` with ``--output``), shared through ``ci_run``.
+``src/repro`` and once as the CI invocation (JSON over ``src/repro``,
+``tests`` and ``perfbench`` with ``--output``), shared through
+``ci_run``.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 TESTS = os.path.join(REPO_ROOT, "tests")
+PERFBENCH = os.path.join(REPO_ROOT, "perfbench")
 CLEAN_FIXTURE = os.path.join(TESTS, "staticcheck", "fixtures",
                              "suppressed.py")
 
@@ -31,7 +33,8 @@ def ci_run(tmp_path_factory):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli_main(["check", "--format", "json",
-                         "--output", str(target), SRC, TESTS])
+                         "--output", str(target), SRC, TESTS,
+                         PERFBENCH])
     return (code, json.loads(stdout.getvalue()),
             json.loads(target.read_text()))
 

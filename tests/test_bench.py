@@ -224,6 +224,12 @@ def test_main_writes_versioned_json(tmp_path, monkeypatch):
                 case[key] *= 3.0
     baseline = tmp_path / "BENCH_baseline.json"
     baseline.write_text(json.dumps(padded))
+    # Both runs share the first run's calibration probe, so the gate's
+    # calibration rescale is exactly 1 and cannot shrink the 3x pad
+    # when the host's speed moves between the two probes.
+    probe = suite["environment"]["calibration_s"]
+    monkeypatch.setattr(bench, "calibration_seconds",
+                        lambda repeats=3: probe)
     again = tmp_path / "BENCH_again.json"
     code = bench.main(["--quick", "--tag", "test", "--out", str(again),
                        "--workers", "1", "--baseline", str(baseline)])
